@@ -210,6 +210,8 @@ class BatchJpg:
                 self._base_frames = jb.frames
                 with self.metrics.stage("batch.measure_full", part=part):
                     self._full_size = len(jb.write())
+        #: content key of the base, computed once for every item's clear
+        self.base_key = self.cache.base_key(self._base_frames)
 
     @property
     def full_size(self) -> int:
@@ -219,7 +221,7 @@ class BatchJpg:
     @property
     def base_frames(self) -> FrameMemory:
         """The parsed base configuration (treat as read-only; clone before
-        mutating).  Long-lived services fingerprint this for cache keys."""
+        mutating).  Its fingerprint is :attr:`base_key`."""
         return self._base_frames
 
     # -- planning -----------------------------------------------------------
@@ -335,6 +337,7 @@ class BatchJpg:
                     base_design=self.base_design,
                     frame_cache=self.cache,
                     full_size=self._full_size,
+                    base_key=self.base_key,
                 )
                 ucf = item.ucf
                 if isinstance(ucf, str):

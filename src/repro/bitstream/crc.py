@@ -13,8 +13,12 @@ Two table layers keep long FDRI bursts cheap:
 * bursts (:meth:`ConfigCrc.update_words`) exploit that one word+address
   step is *affine over GF(2)* in (state, data, address): the per-word data
   contribution is computed for the entire burst in one vectorized numpy
-  pass over four position tables, leaving only a 2-lookup-per-word carry
-  loop for the serial state dependency.
+  pass over four position tables.  The state carry ``s' = A(s) ^ g`` is
+  linear too, so the burst folds pairwise — adjacent blocks combine as
+  ``A^(2^k)(left) ^ right`` — in ``ceil(log2(N + 1))`` vectorized levels,
+  each applying a precomputed power of the carry through two byte tables
+  (the idea behind zlib's ``crc32_combine``).  No per-word Python loop
+  remains.
 
 Writing the accumulated value to the CRC register makes the device compare
 and reset; the RCRC command resets the accumulator.
@@ -85,6 +89,50 @@ def _build_burst_tables():
 
 _A_LO, _A_HI, (_G0, _G1, _G2, _G3), _ADDR_CONTRIB = _build_burst_tables()
 
+#: Fold levels precomputed: enough for bursts of up to 2**32 - 1 words (a
+#: type-2 FDRI count has 27 bits).
+_CARRY_LEVELS = 32
+
+
+def _build_carry_tables() -> list[tuple[np.ndarray, np.ndarray]]:
+    """(lo, hi) byte tables of ``A^(2^k)`` for every fold level ``k``.
+
+    ``A^(2^k)(s) == lo[s & 0xFF] ^ hi[s >> 8]``; each level squares the
+    previous one by composing its tables with themselves.
+    """
+    lo = np.array(_A_LO, dtype=np.uint16)
+    hi = np.array(_A_HI, dtype=np.uint16)
+    tables = [(lo, hi)]
+    for _ in range(_CARRY_LEVELS - 1):
+        lo, hi = (lo[lo & 0xFF] ^ hi[lo >> 8], lo[hi & 0xFF] ^ hi[hi >> 8])
+        tables.append((lo, hi))
+    return tables
+
+
+_CARRY = _build_carry_tables()
+
+
+def _fold(seq: np.ndarray) -> int:
+    """Horner-evaluate ``sum A^(n-1-j)(seq[j])`` over a uint16 sequence.
+
+    Blocks are aligned to the end of the sequence: after level ``k`` every
+    element holds a block of ``2^(k+1)`` inputs, except the first, which
+    may be shorter — exactly as if the sequence had zeros in front, which
+    contribute nothing.
+    """
+    level = 0
+    while seq.size > 1:
+        lo, hi = _CARRY[level]
+        odd = seq.size & 1
+        left = seq[odd::2]
+        folded = np.empty(seq.size // 2 + odd, dtype=np.uint16)
+        folded[:odd] = seq[:odd]
+        np.bitwise_xor(lo[left & 0xFF] ^ hi[left >> 8], seq[odd + 1::2],
+                       out=folded[odd:])
+        seq = folded
+        level += 1
+    return int(seq[0])
+
 
 class ConfigCrc:
     """Accumulating configuration CRC (16-bit)."""
@@ -112,21 +160,19 @@ class ConfigCrc:
             return
         if payload.dtype != np.uint32:
             payload = payload.astype(np.uint64, copy=False).astype(np.uint32)
-        # vectorized data+address contribution of every word in the burst
-        contrib = (
+        # vectorized data+address contribution of every word in the burst,
+        # after the current state (element 0), folded in log2 levels
+        seq = np.empty(payload.size + 1, dtype=np.uint16)
+        seq[0] = self.value
+        np.bitwise_xor(
             _G0[payload & 0xFF]
             ^ _G1[(payload >> np.uint32(8)) & 0xFF]
             ^ _G2[(payload >> np.uint32(16)) & 0xFF]
-            ^ _G3[payload >> np.uint32(24)]
-            ^ _ADDR_CONTRIB[reg_addr & 0xF]
+            ^ _G3[payload >> np.uint32(24)],
+            _ADDR_CONTRIB[reg_addr & 0xF],
+            out=seq[1:],
         )
-        # serial state carry: two table lookups per word
-        crc = self.value
-        a_hi = _A_HI
-        a_lo = _A_LO
-        for g in contrib.tolist():
-            crc = a_hi[crc >> 8] ^ a_lo[crc & 0xFF] ^ g
-        self.value = crc
+        self.value = _fold(seq)
 
 
 def crc_of(stream: list[tuple[int, int]]) -> int:

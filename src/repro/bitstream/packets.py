@@ -163,15 +163,16 @@ class PacketWriter:
     def __init__(self) -> None:
         from .crc import ConfigCrc
 
-        self.words: list[int] = []
         self._crc = ConfigCrc()
-        self._arrays: list[np.ndarray] = []  # deferred large FDRI payloads
+        # the stream as uint32 segments (FDRI payloads kept as arrays),
+        # plus the single words written since the last segment
+        self._segments: list[np.ndarray] = []
+        self._words: list[int] = []
 
     # raw words -------------------------------------------------------------
 
     def raw(self, word: int) -> None:
-        self._flush_arrays()
-        self.words.append(word & 0xFFFFFFFF)
+        self._words.append(word & 0xFFFFFFFF)
 
     def dummy(self, n: int = 1) -> None:
         for _ in range(n):
@@ -187,11 +188,10 @@ class PacketWriter:
     # register writes ----------------------------------------------------------
 
     def write_reg(self, reg: Register, *values: int) -> None:
-        self._flush_arrays()
-        self.words.append(type1_header(Opcode.WRITE, reg, len(values)))
+        self._words.append(type1_header(Opcode.WRITE, reg, len(values)))
         for v in values:
             v &= 0xFFFFFFFF
-            self.words.append(v)
+            self._words.append(v)
             if reg in CRC_COVERED:
                 self._crc.update_word(int(reg), v)
 
@@ -202,15 +202,15 @@ class PacketWriter:
 
     def write_fdri(self, payload: np.ndarray) -> None:
         """Write a frame-data burst (type-1 + type-2 for long payloads)."""
-        self._flush_arrays()
         payload = np.asarray(payload, dtype=np.uint32).ravel()
         n = payload.size
         if n <= _TYPE1_COUNT_MAX:
-            self.words.append(type1_header(Opcode.WRITE, Register.FDRI, n))
+            self._words.append(type1_header(Opcode.WRITE, Register.FDRI, n))
         else:
-            self.words.append(type1_header(Opcode.WRITE, Register.FDRI, 0))
-            self.words.append(type2_header(Opcode.WRITE, n))
-        self._arrays.append(payload)
+            self._words.append(type1_header(Opcode.WRITE, Register.FDRI, 0))
+            self._words.append(type2_header(Opcode.WRITE, n))
+        self._flush_words()
+        self._segments.append(payload)
         self._crc.update_words(int(Register.FDRI), payload)
 
     def write_crc_check(self) -> None:
@@ -220,16 +220,16 @@ class PacketWriter:
 
     # output ----------------------------------------------------------------------
 
-    def _flush_arrays(self) -> None:
-        if self._arrays:
-            arrays = self._arrays
-            self._arrays = []
-            for a in arrays:
-                self.words.extend(a.tolist())
+    def _flush_words(self) -> None:
+        if self._words:
+            self._segments.append(np.array(self._words, dtype=np.uint32))
+            self._words = []
 
     def to_words(self) -> np.ndarray:
-        self._flush_arrays()
-        return np.asarray(self.words, dtype=np.uint32)
+        self._flush_words()
+        if not self._segments:
+            return np.empty(0, dtype=np.uint32)
+        return np.concatenate(self._segments)
 
     def to_bytes(self) -> bytes:
         from .. import utils

@@ -103,14 +103,20 @@ class Jpg:
         *,
         frame_cache: FrameCache | None = None,
         full_size: int | None = None,
+        base_key: str | None = None,
     ):
         """``frame_cache`` shares cleared-region work between instances
         generating against the same base (see :mod:`repro.batch.cache`);
         ``full_size`` skips re-serializing the complete bitstream when the
-        caller (e.g. the batch engine) already knows its length."""
+        caller (e.g. the batch engine) already knows its length, and
+        ``base_key`` skips fingerprinting the base when the caller already
+        knows its :func:`~repro.batch.cache.fingerprint`.  The key stands
+        for the untouched base only: from the first :meth:`make_partial`
+        on, clears key on the current content."""
         self.part = part
         self.jbits = JBits(part)
         self.frame_cache = frame_cache
+        self._base_key = base_key
         metrics = current_metrics()
         with metrics.stage("jpg.init_base", part=part):
             self.jbits.read(base_bitstream)
@@ -154,6 +160,8 @@ class Jpg:
         """
         opts = options or JpgOptions()
         metrics = current_metrics()
+        # the caller's base key is good only until this call changes frames
+        base_key, self._base_key = self._base_key, None
         design = self._as_design(module)
         region = region or self._region_from_ucf(design, ucf)
 
@@ -172,7 +180,7 @@ class Jpg:
         if opts.clear_region and region is not None:
             with metrics.stage("jpg.clear_region", module=design.name,
                                region=region.to_ucf()):
-                self._clear_region(region)
+                self._clear_region(region, base_key)
 
         # 2. replay the module's implementation onto the configuration
         with metrics.stage("jpg.replay", module=design.name):
@@ -230,20 +238,22 @@ class Jpg:
 
     # -- helpers ------------------------------------------------------------------------------
 
-    def _clear_region(self, region: RegionRect) -> None:
+    def _clear_region(self, region: RegionRect, base_key: str | None) -> None:
         """Zero the region's tiles, dirtying the frames that change.
 
         With a :class:`~repro.batch.cache.FrameCache` attached, the cleared
         state is keyed by (current configuration content, region footprint)
         and shared: every later clear of the same region on the same base
         restores the cached frames instead of re-zeroing tile by tile.
+        ``base_key``, when given, is the known key of the current content.
         """
         if self.frame_cache is None:
             for r, c in region.sites():
                 self.jbits.clear_tile(r, c)
             return
 
-        base_key = self.frame_cache.base_key(self.frames)
+        if base_key is None:
+            base_key = self.frame_cache.base_key(self.frames)
 
         def compute() -> tuple[FrameMemory, frozenset[int]]:
             prev = set(self.jbits.dirty_frames)

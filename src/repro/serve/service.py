@@ -27,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from ..batch.cache import FrameCache, fingerprint
+from ..batch.cache import FrameCache
 from ..batch.engine import BatchItem, BatchJpg
 from ..bitstream.bitfile import BitFile
 from ..bitstream.frames import FrameMemory
@@ -168,7 +168,7 @@ class GenerationService:
         self.part = part
         self.base_design = base_design
         #: content key of the base configuration every request generates against
-        self.base_key = fingerprint(self.engine.base_frames)
+        self.base_key = self.engine.base_key
         self.peer_fetch = peer_fetch
         self._session = (
             ReconfigSession(xhwif, policy=retry) if xhwif is not None else None

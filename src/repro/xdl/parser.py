@@ -19,6 +19,7 @@ from ..devices import parse_iob_site, parse_slice_site
 from ..devices.wires import pip_by_wires
 from ..errors import XdlParseError
 from ..flow.ncd import GclkComp, IobComp, NcdDesign, PhysNet, PinRef, SinkRef
+from ..obs import current_metrics
 
 _TOKEN_RE = re.compile(
     r"""
@@ -338,8 +339,14 @@ def parse_xdl(text: str) -> NcdDesign:
     return XdlParser(text).parse()
 
 
-_PARSE_CACHE_MAX = 64  # not-a-frame-count
-_parse_cache: OrderedDict[str, NcdDesign] = OrderedDict()
+#: Byte budget of the parse cache, counted on the XDL text of the entries
+#: it keeps.  A parsed module costs six to eight times its text (a 3.3 KB
+#: module parses to ~20-25 KB), so this holds ~115 such modules — the
+#: 108-module XCV1000 scale library is 345 KiB of text — in ~2.5 MB.
+_PARSE_CACHE_BYTES = 384 * 1024
+#: key -> (design, text bytes), least recently used first
+_parse_cache: OrderedDict[str, tuple[NcdDesign, int]] = OrderedDict()
+_parse_cache_bytes = 0
 _parse_lock = threading.Lock()
 
 
@@ -351,28 +358,43 @@ def parse_xdl_cached(text: str) -> NcdDesign:
     pays for one parse.  The returned design is **shared**: callers must
     treat it as read-only, which everything downstream of
     :meth:`repro.core.jpg.Jpg.make_partial` already does.  The cache is
-    process-local, thread-safe, and LRU-capped at ``_PARSE_CACHE_MAX``
-    entries.
+    process-local and thread-safe.  It keeps at most ``_PARSE_CACHE_BYTES``
+    of XDL text, evicting least recently used entries first; a text larger
+    than the whole budget is parsed and returned but not kept.  Lookups
+    count ``xdl.parse_cache.hit`` / ``xdl.parse_cache.miss`` on
+    :func:`~repro.obs.current_metrics`.
     """
-    key = hashlib.sha256(text.encode()).hexdigest()
+    global _parse_cache_bytes
+    raw = text.encode()
+    key = hashlib.sha256(raw).hexdigest()
+    metrics = current_metrics()
     with _parse_lock:
-        design = _parse_cache.get(key)
-        if design is not None:
+        entry = _parse_cache.get(key)
+        if entry is not None:
             _parse_cache.move_to_end(key)
-            return design
+    if entry is not None:
+        metrics.count("xdl.parse_cache.hit")
+        return entry[0]
+    metrics.count("xdl.parse_cache.miss")
     design = parse_xdl(text)
+    size = len(raw)
+    if size > _PARSE_CACHE_BYTES:
+        return design
     with _parse_lock:
-        _parse_cache[key] = design
-        _parse_cache.move_to_end(key)
-        while len(_parse_cache) > _PARSE_CACHE_MAX:
-            _parse_cache.popitem(last=False)
+        if key not in _parse_cache:
+            _parse_cache[key] = (design, size)
+            _parse_cache_bytes += size
+            while _parse_cache_bytes > _PARSE_CACHE_BYTES:
+                _parse_cache_bytes -= _parse_cache.popitem(last=False)[1][1]
     return design
 
 
 def clear_parse_cache() -> None:
     """Drop every memoized design (tests and long-lived services)."""
+    global _parse_cache_bytes
     with _parse_lock:
         _parse_cache.clear()
+        _parse_cache_bytes = 0
 
 
 def load_xdl(path: str) -> NcdDesign:

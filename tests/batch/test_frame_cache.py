@@ -165,6 +165,62 @@ class TestJpgIntegration:
         assert cache.stats.hits == 0
 
 
+class _KeyRecordingCache(FrameCache):
+    """A frame cache that remembers the base key of every lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def cleared(self, base_key, region, factory):
+        self.keys.append(base_key)
+        return super().cleared(base_key, region, factory)
+
+
+class TestBaseKey:
+    """A caller-supplied base key stands for the untouched base only."""
+
+    def test_reused_jpg_keys_second_clear_on_current_content(self, demo_project):
+        region = demo_project.regions["r1"]
+        down = demo_project.versions[("r1", "down")].design
+        up = demo_project.versions[("r1", "up")].design
+        plain = Jpg(demo_project.part, demo_project.base_bitfile)
+        base_key = fingerprint(plain.frames)
+        cache = _KeyRecordingCache()
+        jpg = Jpg(demo_project.part, demo_project.base_bitfile,
+                  frame_cache=cache, base_key=base_key)
+
+        first = jpg.make_partial(down, region=region)
+        after_down = fingerprint(jpg.frames)
+        second = jpg.make_partial(up, region=region)
+
+        assert cache.keys == [base_key, after_down]
+        assert after_down != base_key
+        # byte-identical to a cache-less Jpg walked through the same states
+        assert first.data == plain.make_partial(down, region=region).data
+        assert second.data == plain.make_partial(up, region=region).data
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
+
+    def test_engine_fingerprints_its_base_once(self, demo_project, monkeypatch):
+        from repro.batch import BatchJpg, items_from_project
+        from repro.batch import cache as cache_mod
+
+        calls = []
+        real = cache_mod.fingerprint
+
+        def counting(frames):
+            calls.append(1)
+            return real(frames)
+
+        monkeypatch.setattr(cache_mod, "fingerprint", counting)
+        engine = BatchJpg(demo_project.part, demo_project.base_bitfile,
+                          backend="serial")
+        assert engine.base_key == real(engine.base_frames)
+        report = engine.run(items_from_project(demo_project))
+        assert report.ok and len(report.results) == 4
+        assert len(calls) == 1, "every item reuses the engine's base key"
+
+
 class TestPut:
     """put(): seeding entries from process-backend deltas, outside stats."""
 

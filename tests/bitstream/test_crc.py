@@ -1,10 +1,11 @@
 """Configuration CRC tests."""
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitstream.crc import ConfigCrc, crc_of
+from repro.bitstream.crc import _A_HI, _A_LO, _ADDR_CONTRIB, _G0, _G1, _G2, _G3, ConfigCrc, crc_of
 
 
 class TestBasics:
@@ -124,6 +125,77 @@ class TestAgainstBitReference:
         assert crc.value == _crc_bit_by_bit(
             [(4, 7), (2, 0xDEADBEEF), (2, 0), (2, 0xFFFFFFFF)]
         )
+
+
+def _carry_loop(state, reg_addr, words):
+    """The per-word state carry the log-depth fold replaced: the vectorized
+    data contribution, then two table lookups per word.  Kept as an
+    oracle for full-device bursts, where the bit reference is too slow."""
+    payload = np.asarray(words, dtype=np.uint32)
+    contrib = (
+        _G0[payload & 0xFF]
+        ^ _G1[(payload >> np.uint32(8)) & 0xFF]
+        ^ _G2[(payload >> np.uint32(16)) & 0xFF]
+        ^ _G3[payload >> np.uint32(24)]
+        ^ _ADDR_CONTRIB[reg_addr & 0xF]
+    )
+    for g in contrib.tolist():
+        state = _A_HI[state >> 8] ^ _A_LO[state & 0xFF] ^ g
+    return state
+
+
+def _burst_after_prefix(words, addr=2):
+    """update_words over ``words`` from the nonzero state a (4, 7) write
+    leaves behind."""
+    crc = ConfigCrc()
+    crc.update_word(4, 7)
+    assert crc.value != 0
+    crc.update_words(addr, words)
+    return crc.value
+
+
+class TestLogDepthFold:
+    """The burst fold against the bit-level definition: every level count,
+    both parities, and power-of-two boundaries."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 4097])
+    def test_fold_matches_bit_reference(self, n):
+        rng = np.random.default_rng(n)
+        words = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
+        assert _burst_after_prefix(words) == _crc_bit_by_bit(
+            [(4, 7)] + [(2, int(w)) for w in words]
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2048),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=0, max_value=15))
+    def test_property_fold_matches_bit_reference(self, n, seed, addr):
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
+        assert _burst_after_prefix(words, addr) == _crc_bit_by_bit(
+            [(4, 7)] + [(addr, int(w)) for w in words]
+        )
+
+    def test_list_input_with_high_words(self):
+        """Python ints >= 2**31 (beyond int32) take the list path intact."""
+        words = [0x80000000, 0xFFFFFFFF, 0xDEADBEEF, 1, 0x7FFFFFFF, 0xC0FFEE00]
+        assert _burst_after_prefix(words) == _crc_bit_by_bit(
+            [(4, 7)] + [(2, w) for w in words]
+        )
+        assert _burst_after_prefix(words) == _burst_after_prefix(
+            np.array(words, dtype=np.uint32)
+        )
+
+    def test_full_device_burst_matches_carry_loop(self):
+        """One XCV1000 full-configuration FDRI burst (4906 frames x 39
+        words) from a nonzero state."""
+        rng = np.random.default_rng(1000)
+        words = rng.integers(0, 1 << 32, size=4906 * 39, dtype=np.uint64).astype(np.uint32)
+        crc = ConfigCrc()
+        crc.value = 0x1234
+        crc.update_words(2, words)
+        assert crc.value == _carry_loop(0x1234, 2, words)
 
 
 class TestErrorDetection:

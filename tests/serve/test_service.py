@@ -41,6 +41,14 @@ class TestRequests:
         assert region != "none"
         assert digest == req.digest()
 
+    def test_base_key_is_the_engines(self, service):
+        """The service reuses the engine's base fingerprint rather than
+        hashing the base a second time."""
+        from repro.batch import fingerprint
+
+        assert service.base_key == service.engine.base_key
+        assert service.base_key == fingerprint(service.engine.base_frames)
+
     def test_generation_failure_is_a_result_not_an_exception(self, service):
         req = GenRequest(name="nowhere", xdl="design bad XCV50;")
         result = service.generate(req)

@@ -171,16 +171,76 @@ class TestParseCache:
         clear_parse_cache()
         assert parse_xdl_cached(text) is not first
 
-    def test_lru_evicts_past_the_cap(self, counter_flow):
+    def test_lru_evicts_past_the_cap(self, counter_flow, monkeypatch):
+        """The cap is a byte budget on retained XDL text: filling past it
+        evicts the least recently used entry and keeps the rest."""
         from repro.xdl import parser as parser_mod
         from repro.xdl.parser import clear_parse_cache, parse_xdl_cached
 
         clear_parse_cache()
         text = write_xdl(counter_flow.design)
+        fillers = [f"# filler {i}\n" + text for i in range(3)]
+        # room for the original and two fillers, not a third
+        budget = len(text.encode()) + 2 * len(fillers[0].encode())
+        monkeypatch.setattr(parser_mod, "_PARSE_CACHE_BYTES", budget)
         first = parse_xdl_cached(text)
-        for i in range(parser_mod._PARSE_CACHE_MAX):
-            parse_xdl_cached(f"# filler {i}\n" + text)
-        assert len(parser_mod._parse_cache) == parser_mod._PARSE_CACHE_MAX
+        designs = [parse_xdl_cached(f) for f in fillers]
+        retained = sum(size for _, size in parser_mod._parse_cache.values())
+        assert retained == parser_mod._parse_cache_bytes <= budget
+        assert len(parser_mod._parse_cache) == 2
         # the original entry was the least recently used -> evicted
         assert parse_xdl_cached(text) is not first
+        # the newest filler survived both insertions since
+        assert parse_xdl_cached(fillers[2]) is designs[2]
+        clear_parse_cache()
+        assert parser_mod._parse_cache_bytes == 0
+
+    def test_hit_refreshes_lru_order(self, counter_flow, monkeypatch):
+        from repro.xdl import parser as parser_mod
+        from repro.xdl.parser import clear_parse_cache, parse_xdl_cached
+
+        clear_parse_cache()
+        texts = [f"# v{i}\n" + write_xdl(counter_flow.design) for i in range(3)]
+        monkeypatch.setattr(parser_mod, "_PARSE_CACHE_BYTES",
+                            2 * len(texts[0].encode()))
+        first = parse_xdl_cached(texts[0])
+        parse_xdl_cached(texts[1])
+        assert parse_xdl_cached(texts[0]) is first   # now most recent
+        parse_xdl_cached(texts[2])                   # evicts texts[1]
+        assert parse_xdl_cached(texts[0]) is first
+        clear_parse_cache()
+
+    def test_over_budget_text_is_returned_not_retained(self, counter_flow,
+                                                       monkeypatch):
+        from repro.xdl import parser as parser_mod
+        from repro.xdl.parser import clear_parse_cache, parse_xdl_cached
+
+        clear_parse_cache()
+        text = write_xdl(counter_flow.design)
+        kept = parse_xdl_cached("# small\n" + text)
+        monkeypatch.setattr(parser_mod, "_PARSE_CACHE_BYTES",
+                            len(text.encode()) + 16)
+        big = "# too large for the budget\n" * 4 + text
+        design = parse_xdl_cached(big)
+        assert design.slices.keys() == parse_xdl(text).slices.keys()
+        assert parse_xdl_cached(big) is not design
+        # an over-budget text evicts nothing already kept
+        assert parse_xdl_cached("# small\n" + text) is kept
+        assert parser_mod._parse_cache_bytes <= parser_mod._PARSE_CACHE_BYTES
+        clear_parse_cache()
+
+    def test_hit_and_miss_counters(self, counter_flow):
+        from repro.obs import Metrics, use_metrics
+        from repro.xdl.parser import clear_parse_cache, parse_xdl_cached
+
+        clear_parse_cache()
+        text = write_xdl(counter_flow.design)
+        metrics = Metrics()
+        with use_metrics(metrics):
+            parse_xdl_cached(text)
+            parse_xdl_cached(text)
+            parse_xdl_cached(text)
+            parse_xdl_cached("# other\n" + text)
+        assert metrics.counter("xdl.parse_cache.miss") == 2
+        assert metrics.counter("xdl.parse_cache.hit") == 2
         clear_parse_cache()
