@@ -7,6 +7,8 @@ one sub-module re-implemented in its region vs the full multi-module base
 design, plus the scaling of P&R time with design size.
 """
 
+import contextlib
+
 import pytest
 
 from repro.flow import run_flow
@@ -16,6 +18,7 @@ from repro.workloads import (
     build_module_netlist,
     figure4_plan,
 )
+from tests.flow.scalar_ref import scalar_engines
 
 from .conftest import BENCH_PART
 
@@ -66,14 +69,17 @@ class TestScaling:
 
 
 class TestCostEngines:
-    """Scalar vs array flow-core engines on the same base design."""
+    """The array flow engine vs the scalar reference oracle
+    (``tests/flow/scalar_ref.py``) on the same base design."""
 
     @pytest.mark.parametrize("engine", ["scalar", "array"])
     def test_full_design_flow_by_engine(self, benchmark, plans, engine):
         base = build_base_netlist("base", plans)
 
         def full():
-            return run_flow(base, BENCH_PART, seed=5, engine=engine)
+            swap = scalar_engines() if engine == "scalar" else contextlib.nullcontext()
+            with swap:
+                return run_flow(base, BENCH_PART, seed=5)
 
         result = benchmark.pedantic(full, rounds=3, iterations=1)
         assert result.design.routed()

@@ -63,7 +63,7 @@ EXIT_USAGE = 2
 EXIT_UNAVAILABLE = 3
 
 #: Backends with a sizable worker pool (--pool-size targets).
-_POOLED_BACKENDS = ("thread", "process", "warm")
+_POOLED_BACKENDS = ("thread", "warm")
 
 
 def _load_bitfile(path: str) -> BitFile:
@@ -91,14 +91,12 @@ def _parse_region(text: str, what: str) -> RegionRect:
 def _resolve_backend(args):
     """Turn the backend flags into a ``BatchJpg``/service backend argument.
 
-    ``--warm-pool`` is shorthand for ``--backend warm``.  ``--pool-size N``
-    pins the pool's worker count, taking precedence over ``JPG_WORKERS``
-    and the CPU-count default (it constructs the backend instance
-    explicitly, so the sizing policy in ``default_workers`` never runs).
+    ``--pool-size N`` pins the pool's worker count, taking precedence
+    over ``JPG_WORKERS`` and the CPU-count default (it constructs the
+    backend instance explicitly, so the sizing policy in
+    ``default_workers`` never runs).
     """
     backend = args.backend
-    if getattr(args, "warm_pool", False):
-        backend = "warm"
     pool_size = getattr(args, "pool_size", None)
     if pool_size is None:
         return backend
@@ -109,10 +107,9 @@ def _resolve_backend(args):
             f"--pool-size needs a pooled backend ({', '.join(_POOLED_BACKENDS)}), "
             f"not {backend!r}"
         )
-    from ..exec import ProcessBackend, ThreadBackend, WarmPoolBackend
+    from ..exec import ThreadBackend, WarmPoolBackend
 
-    cls = {"thread": ThreadBackend, "process": ProcessBackend,
-           "warm": WarmPoolBackend}[backend]
+    cls = {"thread": ThreadBackend, "warm": WarmPoolBackend}[backend]
     return cls(pool_size)
 
 
@@ -867,14 +864,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output-dir", help="save each partial as NAME.bit here")
     p.add_argument("-j", "--jobs", type=int,
                    help="pool workers (default: auto — JPG_WORKERS, then CPU count)")
-    p.add_argument("--backend", choices=["serial", "thread", "process", "warm"],
+    p.add_argument("--backend", choices=["serial", "thread", "warm"],
                    default="thread",
                    help="execution backend: serial (inline), thread (GIL-bound "
-                        "pool, default), process (scales with cores; base "
-                        "shared zero-copy via shared memory), warm (persistent "
-                        "worker pool + shared output arena)")
-    p.add_argument("--warm-pool", action="store_true",
-                   help="shorthand for --backend warm")
+                        "pool, default), warm (persistent worker-process pool; "
+                        "base shared zero-copy via shared memory, replies "
+                        "through a shared output arena)")
     p.add_argument("--pool-size", type=int, metavar="N",
                    help="worker count for pooled backends (overrides "
                         "JPG_WORKERS and the CPU-count default)")
@@ -1000,14 +995,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int,
                    help="concurrent generations (default: auto — JPG_WORKERS, "
                         "then CPU count)")
-    p.add_argument("--backend", choices=["serial", "thread", "process", "warm"],
+    p.add_argument("--backend", choices=["serial", "thread", "warm"],
                    default="thread",
-                   help="execution backend for generations (process = a "
-                        "worker-process pool over a shared-memory base; warm = "
-                        "that pool kept hot across requests, replies through a "
-                        "shared output arena)")
-    p.add_argument("--warm-pool", action="store_true",
-                   help="shorthand for --backend warm")
+                   help="execution backend for generations (warm = a "
+                        "worker-process pool over a shared-memory base, kept "
+                        "hot across requests, replies through a shared output "
+                        "arena)")
     p.add_argument("--pool-size", type=int, metavar="N",
                    help="worker count for pooled backends (overrides "
                         "JPG_WORKERS and the CPU-count default)")

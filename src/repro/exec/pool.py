@@ -1,6 +1,6 @@
 """The warm worker pool: persistent forked workers behind a shared arena.
 
-BENCH_5 measured the honest problem with the classic process backend: on
+BENCH_5 measured the honest problem with a per-batch process pool: on
 small batches the fork/attach cost of a fresh ``ProcessPoolExecutor``
 dominates and parallelism is a net loss.  The warm pool closes that gap
 by making every per-batch cost a per-*pool* cost:
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ExecError
-from .backend import Backend, _cache_spec, _ingest_reply, default_workers
+from .backend import Backend, default_workers
 from .shm import OutputArena, SharedFrames
 
 if TYPE_CHECKING:
@@ -66,6 +66,36 @@ class _Seat:
     conn: Any
 
 
+def _ingest_reply(engine: "BatchJpg", raw) -> tuple:
+    """Fold one worker reply into the parent engine.
+
+    Merges the worker's metrics snapshot, re-seeds the parent's frame
+    cache from the reply's cleared-state deltas, and returns
+    ``(result, cache_hits, cache_misses)`` — the caller accumulates the
+    counters into the pool.
+    """
+    result, snapshot, cleared = raw
+    counters = snapshot.get("counters", {})
+    hits = counters.get("framecache.hit", 0)
+    misses = counters.get("framecache.miss", 0)
+    engine.metrics.merge(snapshot)
+    for base_key, region, dirty, delta in cleared:
+        state = (delta.apply(engine.base_frames), frozenset(dirty))
+        engine.cache.put(base_key, region, state)
+    return result, hits, misses
+
+
+def _cache_spec(engine: "BatchJpg"):
+    """A picklable recipe for the worker-side cache: disk-backed workers
+    rebuild the engine's persistent cache (sharing entries through the
+    filesystem); everyone else gets a private in-memory cache whose
+    computes come home as deltas."""
+    disk = getattr(engine.cache, "disk", None)
+    if disk is not None:
+        return ("disk", disk.root, disk.max_bytes)
+    return None
+
+
 class WarmPool:
     """A persistent pool of forked workers over one shared base.
 
@@ -82,10 +112,8 @@ class WarmPool:
     """
 
     def __init__(self, workers: int | None = None, *,
-                 start_method: str | None = None,
                  slot_bytes: int = OutputArena.DEFAULT_SLOT_BYTES):
         self.workers = workers
-        self.start_method = start_method
         self.slot_bytes = slot_bytes
         self._seats: list[_Seat] = []
         self._idle: queue.Queue[int] = queue.Queue()
@@ -134,10 +162,10 @@ class WarmPool:
                 return
             if self._closed:
                 raise ExecError("warm pool is closed")
-            method = self.start_method
-            if method is None:
-                method = ("fork" if "fork" in
-                          multiprocessing.get_all_start_methods() else None)
+            # fork is far cheaper where it exists (no re-import, parsed
+            # device models inherited); fall back to the platform default
+            method = ("fork" if "fork" in
+                      multiprocessing.get_all_start_methods() else None)
             self._ctx = multiprocessing.get_context(method)
             n = workers or self.workers or default_workers()
             shared = SharedFrames.publish(engine.base_frames)
@@ -321,19 +349,18 @@ class WarmPoolBackend(Backend):
 
     Construct with a shared :class:`WarmPool` to keep one hot pool across
     the batch engine and the serve scheduler, or let it build a private
-    pool.  Binding rules match :class:`~repro.exec.backend.
-    ProcessBackend`: the first engine that runs wins, and ``close()``
-    shuts the pool down (call it from ``engine.close()`` as usual).
+    pool.  Binding follows :meth:`WarmPool.bind`: the first engine that
+    runs wins, and ``close()`` shuts the pool down (call it from
+    ``engine.close()`` as usual).
     """
 
     name = "warm"
 
     def __init__(self, workers: int | None = None, *,
                  pool: WarmPool | None = None,
-                 start_method: str | None = None,
                  slot_bytes: int = OutputArena.DEFAULT_SLOT_BYTES):
         self.pool = pool if pool is not None else WarmPool(
-            workers, start_method=start_method, slot_bytes=slot_bytes
+            workers, slot_bytes=slot_bytes
         )
         # counter totals already pushed into the engine's registry, so
         # repeated runs report deltas rather than running totals

@@ -60,14 +60,8 @@ def run_flow(
     guide: NcdDesign | None = None,
     seed: int | None = 0,
     effort: float = 1.0,
-    engine: str = "array",
-    router_opts: dict | None = None,
 ) -> FlowResult:
-    """Run map -> pack -> place -> route -> STA on a copy of ``netlist``.
-
-    ``engine`` selects the placer/router cost engine (``"array"`` or
-    ``"scalar"``); both produce identical results for a given seed.
-    """
+    """Run map -> pack -> place -> route -> STA on a copy of ``netlist``."""
     netlist = copy.deepcopy(netlist)
     times: dict[str, float] = {}
     metrics = current_metrics()
@@ -84,17 +78,12 @@ def run_flow(
 
     t = time.perf_counter()
     with metrics.stage("flow.place"):
-        pl_stats = place(
-            design, constraints, guide=guide, seed=seed, effort=effort, engine=engine
-        )
+        pl_stats = place(design, constraints, guide=guide, seed=seed, effort=effort)
     times["place"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    opts = dict(router_opts or {})
-    opts.setdefault("guide", guide)
-    opts.setdefault("engine", engine)
     with metrics.stage("flow.route"):
-        rt_stats = route(design, seed=seed, **opts)
+        rt_stats = route(design, seed=seed, guide=guide)
     times["route"] = time.perf_counter() - t
 
     t = time.perf_counter()

@@ -18,25 +18,23 @@ Runtime scales with the number of movable components — this is what the
 PNR experiment measures when it compares module-sized against full-chip
 place-and-route.
 
-Two cost engines implement the inner loop:
+The inner loop keeps component tile positions and per-net HPWL costs in
+flat arrays with a CSR net→terms index built once per run.  Every move's
+affected-net working set (gather indices, reduceat boundaries, per-net
+term tuples) is precomputed per component, so evaluating a move is pure
+coordinate lookups: wide unions gather the term coordinates in one
+fancy-indexing pass and reduce them with ``np.minimum.reduceat`` /
+``np.maximum.reduceat``, narrow ones walk the precomputed indices
+directly — neither path re-resolves component objects or net membership
+per term.
 
-* ``engine="array"`` (the default) keeps component tile positions and
-  per-net HPWL costs in flat arrays with a CSR net→terms index built
-  once per run.  Every move's affected-net working set (gather indices,
-  reduceat boundaries, per-net term tuples) is precomputed per component,
-  so evaluating a move is pure coordinate lookups: wide unions gather the
-  term coordinates in one fancy-indexing pass and reduce them with
-  ``np.minimum.reduceat`` / ``np.maximum.reduceat``, narrow ones walk the
-  precomputed indices directly — neither path re-resolves component
-  objects or net membership the way the scalar engine does per term;
-* ``engine="scalar"`` is the reference implementation (per-net python
-  loops over ``net_terms``), kept as the validation and benchmark
-  baseline.
-
-Both engines draw from the seeded RNG in exactly the same order and
-compute bit-identical (integer) HPWL deltas, so **the same seed produces
-the same placement on either engine** — the equivalence suite in
-``tests/flow/test_vectorized.py`` asserts this site-for-site.
+A per-net dict reference implementation lives in
+``tests/flow/scalar_ref.py`` as a subclass overriding the cost hooks
+(:meth:`Placer._total_cost`, :meth:`Placer._try_move`).  It draws from
+the seeded RNG in exactly the same order and computes bit-identical
+(integer) HPWL deltas, so **the same seed produces the same placement on
+either implementation** — ``tests/flow/test_vectorized.py`` asserts this
+site-for-site.
 """
 
 from __future__ import annotations
@@ -56,9 +54,6 @@ from .floorplan import Constraints, RegionRect, full_device_region
 from .ncd import NcdDesign, SliceComp
 
 SliceSite = tuple[int, int, int]
-
-#: Cost-engine names accepted by :class:`Placer`.
-PLACER_ENGINES = ("array", "scalar")
 
 
 @dataclass
@@ -94,12 +89,7 @@ class Placer:
         guide: NcdDesign | None = None,
         seed: int | None = None,
         effort: float = 1.0,
-        engine: str = "array",
     ):
-        if engine not in PLACER_ENGINES:
-            raise PlacementError(
-                f"unknown placer engine {engine!r} (choose from {PLACER_ENGINES})"
-            )
         self.design = design
         self.device: Device = get_device(design.part)
         self.constraints = constraints or Constraints()
@@ -107,7 +97,6 @@ class Placer:
         self.guide = guide
         self.rng = make_rng(seed)
         self.effort = max(0.1, effort)
-        self.engine = engine
         self.stats = PlacementStats()
         self._clip_cache: dict[RegionRect, RegionRect] = {}
 
@@ -118,8 +107,7 @@ class Placer:
         self._assign_gclks()
         self._build_state()
         self._initial_placement()
-        if self.engine == "array":
-            self._build_arrays()
+        self._build_arrays()
         self._anneal()
         self._commit()
         self.stats.seconds = time.perf_counter() - t0
@@ -259,7 +247,7 @@ class Placer:
         state.site = site
         state.fixed = state.fixed or fixed
 
-    # -- array state (engine="array") ---------------------------------------------
+    # -- array state -----------------------------------------------------------------
 
     #: Affected-term count at which a move evaluation switches from the
     #: precomputed-index python path to the numpy reduceat path (numpy's
@@ -277,8 +265,7 @@ class Placer:
           a move into an empty site (swap plans are built and memoized per
           component pair on first use).
 
-        Costs are integer HPWLs, so the array engine's deltas are exactly
-        the scalar engine's.
+        Costs are integer HPWLs, so every move's delta is exact.
         """
         names = list(self.comps)
         self._comp_idx = {n: i for i, n in enumerate(names)}
@@ -386,30 +373,20 @@ class Placer:
         r, c, _ = state.site
         return r, c
 
-    def _net_cost(self, net_name: str) -> float:
-        rows, cols = [], []
-        for t in self.net_terms[net_name]:
-            r, c = self._tile_of(self.comps[t])
-            rows.append(r)
-            cols.append(c)
-        return (max(rows) - min(rows)) + (max(cols) - min(cols))
-
     def _total_cost(self) -> float:
-        if self.engine == "array":
-            if self._net_costs:
-                self._flush_coords()
-                _, _, flat, bounds, _ = self._gather_plan(
-                    np.arange(len(self._net_costs), dtype=np.int64)
-                )
-                r = self._rows[flat]
-                c = self._cols[flat]
-                costs = (
-                    np.maximum.reduceat(r, bounds) - np.minimum.reduceat(r, bounds)
-                ) + (np.maximum.reduceat(c, bounds) - np.minimum.reduceat(c, bounds))
-                self._net_costs = costs.tolist()
-            return sum(self._net_costs)
-        self.net_cost = {n: self._net_cost(n) for n in self.net_terms}
-        return sum(self.net_cost.values())
+        """HPWL of every signal net; refreshes the per-net cost cache."""
+        if self._net_costs:
+            self._flush_coords()
+            _, _, flat, bounds, _ = self._gather_plan(
+                np.arange(len(self._net_costs), dtype=np.int64)
+            )
+            r = self._rows[flat]
+            c = self._cols[flat]
+            costs = (
+                np.maximum.reduceat(r, bounds) - np.minimum.reduceat(r, bounds)
+            ) + (np.maximum.reduceat(c, bounds) - np.minimum.reduceat(c, bounds))
+            self._net_costs = costs.tolist()
+        return sum(self._net_costs)
 
     # -- annealing ----------------------------------------------------------------------
 
@@ -423,9 +400,7 @@ class Placer:
             self.stats.final_cost = cost
             return
 
-        try_move = (
-            self._try_move_array if self.engine == "array" else self._try_move
-        )
+        try_move = self._try_move
         # temperature from the spread of a random-move sample
         deltas = []
         for _ in range(min(50, 10 * len(movable))):
@@ -462,8 +437,8 @@ class Placer:
     def _propose(self, movable: list[_CompState]):
         """Draw one candidate move: (state, target site, displaced comp).
 
-        Both engines call this, so the RNG stream is consumed identically
-        regardless of how the cost delta is evaluated.  Returns None for
+        Every cost implementation calls this, so the RNG stream is
+        consumed identically regardless of how the cost delta is evaluated.  Returns None for
         illegal or no-op proposals (still counted as attempts).
         """
         state = movable[int(self.rng.integers(len(movable)))]
@@ -496,32 +471,7 @@ class Placer:
         )
 
     def _try_move(self, movable: list[_CompState], temperature: float, dry: bool = False):
-        """Propose one move (scalar engine); returns the accepted delta or None."""
-        proposal = self._propose(movable)
-        if proposal is None:
-            return None
-        state, target, other = proposal
-
-        affected = set(state.nets) | (set(other.nets) if other else set())
-        before = sum(self.net_cost[n] for n in affected)
-        old_site = state.site
-        self._relocate(state, target, other, old_site)
-        # one evaluation per affected net: the same values decide the move
-        # and, on acceptance, refresh the cost cache
-        after_costs = {n: self._net_cost(n) for n in affected}
-        after = sum(after_costs.values())
-        delta = after - before
-
-        accept = self._accept(delta, temperature)
-        if accept and not dry:
-            self.net_cost.update(after_costs)
-            return delta
-        # revert
-        self._relocate(state, old_site, other, target)
-        return delta if dry and accept else None
-
-    def _try_move_array(self, movable: list[_CompState], temperature: float, dry: bool = False):
-        """Propose one move (array engine); returns the accepted delta or None.
+        """Propose one move; returns the accepted delta or None.
 
         The move is evaluated on hypothetically-patched coordinate lists;
         occupancy and component state are only touched (one ``_relocate``)
@@ -649,9 +599,6 @@ def place(
     guide: NcdDesign | None = None,
     seed: int | None = None,
     effort: float = 1.0,
-    engine: str = "array",
 ) -> PlacementStats:
     """Place ``design`` in place; see :class:`Placer`."""
-    return Placer(
-        design, constraints, guide=guide, seed=seed, effort=effort, engine=engine
-    ).run()
+    return Placer(design, constraints, guide=guide, seed=seed, effort=effort).run()

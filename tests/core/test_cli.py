@@ -385,6 +385,18 @@ class TestBatch:
         assert rc == 2
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--backend", "process"], ["--warm-pool"]])
+    def test_removed_backend_flags_are_usage_errors(self, manifest, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "batch", "-p", "XCV50",
+                "--base", manifest["base"],
+                "--manifest", manifest["path"],
+                *flags,
+            ])
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
 
 @pytest.mark.serve
 class TestServeSubmit:

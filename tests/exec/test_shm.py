@@ -1,5 +1,5 @@
-"""SharedFrames / FrameDelta: the zero-copy transport under the process
-backend, exercised directly (publish/attach lifecycle, delta round-trips).
+"""SharedFrames / FrameDelta: the zero-copy transport under the warm
+worker pool, exercised directly (publish/attach lifecycle, delta round-trips).
 """
 
 import numpy as np

@@ -1,10 +1,11 @@
-"""Scalar-vs-array flow engine equivalence, plus hot-loop bug regressions.
+"""Array-engine equivalence with the scalar reference, plus hot-loop
+bug regressions.
 
-The array engines are only drop-in replacements if a given seed produces
-the *same* placement and routing as the scalar reference — HPWL costs
-are integers, congestion costs are ordered identically, and both engines
-consume the RNG in the same order, so equality here is exact, not
-approximate.
+The production placer and router are only trustworthy if a given seed
+produces the *same* placement and routing as the scalar reference in
+:mod:`tests.flow.scalar_ref` — HPWL costs are integers, congestion costs
+are ordered identically, and both consume the RNG in the same order, so
+equality here is exact, not approximate.
 """
 
 import math
@@ -12,15 +13,20 @@ import math
 import pytest
 
 from repro.devices import wires as W
-from repro.errors import PlacementError, RoutingError
 from repro.flow import run_flow
 from repro.flow.floorplan import AreaGroup, Constraints, RegionRect
 from repro.flow.pack import pack
-from repro.flow.place import PLACER_ENGINES, Placer, place
-from repro.flow.route import ROUTER_ENGINES, Router, route
+from repro.flow.place import place
+from repro.flow.route import Router, route
 from repro.flow.techmap import techmap
 from repro.obs import Metrics, use_metrics
+from repro.workloads import flow_cases
 from tests.conftest import build_counter_netlist
+from tests.flow import scalar_ref
+from tests.flow.scalar_ref import ScalarPlacer, scalar_engines
+
+#: (place, route) of the scalar reference, then of the production engine.
+ENGINES = ((scalar_ref.place, scalar_ref.route), (place, route))
 
 
 def packed_design(width=4):
@@ -47,30 +53,14 @@ def routing_of(design):
     )
 
 
-class TestEngineSelection:
-    def test_unknown_placer_engine_rejected(self):
-        with pytest.raises(PlacementError, match="unknown placer engine"):
-            Placer(packed_design(), engine="bogus")
-
-    def test_unknown_router_engine_rejected(self):
-        design = packed_design()
-        place(design, seed=1)
-        with pytest.raises(RoutingError, match="unknown router engine"):
-            Router(design, engine="bogus")
-
-    def test_engine_lists_exported(self):
-        assert "array" in PLACER_ENGINES and "scalar" in PLACER_ENGINES
-        assert "array" in ROUTER_ENGINES and "scalar" in ROUTER_ENGINES
-
-
 class TestPlacementEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 42])
     @pytest.mark.parametrize("width", [4, 8])
     def test_same_seed_same_placement(self, seed, width):
         designs, costs = [], []
-        for engine in ("scalar", "array"):
+        for place_fn, _ in ENGINES:
             design = packed_design(width)
-            stats = place(design, seed=seed, engine=engine)
+            stats = place_fn(design, seed=seed)
             designs.append(placement_of(design))
             costs.append((stats.initial_cost, stats.final_cost))
         assert designs[0] == designs[1]
@@ -81,9 +71,9 @@ class TestPlacementEquivalence:
             groups=[AreaGroup("AG", ["u1/*"], RegionRect(0, 2, 15, 7))]
         )
         placements = []
-        for engine in ("scalar", "array"):
+        for place_fn, _ in ENGINES:
             design = packed_design(8)
-            place(design, cons, seed=3, engine=engine)
+            place_fn(design, cons, seed=3)
             placements.append(placement_of(design))
         assert placements[0] == placements[1]
         region = RegionRect(0, 2, 15, 7)
@@ -102,10 +92,10 @@ class TestRoutingEquivalence:
     @pytest.mark.parametrize("seed", [1, 4, 42])
     def test_same_seed_same_routing(self, seed):
         routings, stats = [], []
-        for engine in ("scalar", "array"):
+        for _, route_fn in ENGINES:
             design = packed_design(8)
             place(design, seed=seed)
-            st = route(design, seed=seed, engine=engine)
+            st = route_fn(design, seed=seed)
             routings.append(routing_of(design))
             stats.append(st)
         assert routings[0] == routings[1]
@@ -124,22 +114,44 @@ class TestRoutingEquivalence:
 
 
 class TestFlowEquivalence:
+    def test_scalar_engines_swaps_and_restores_the_driver(self):
+        from repro.flow import driver
+
+        with scalar_engines():
+            assert driver.place is scalar_ref.place
+            assert driver.route is scalar_ref.route
+        assert driver.place is place
+        assert driver.route is route
+
     def test_full_flow_identical_across_engines(self):
         nl, _ = build_counter_netlist(6)
-        results = [
-            run_flow(nl, "XCV50", seed=2, engine=engine)
-            for engine in ("scalar", "array")
-        ]
+        with scalar_engines():
+            scalar = run_flow(nl, "XCV50", seed=2)
+        results = [scalar, run_flow(nl, "XCV50", seed=2)]
         assert placement_of(results[0].design) == placement_of(results[1].design)
         assert routing_of(results[0].design) == routing_of(results[1].design)
         assert results[0].timing.fmax_mhz == results[1].timing.fmax_mhz
 
+    def test_figure4_base_identical_across_engines(self):
+        """The counter designs have no two-terminal nets, so only a
+        larger design exercises the placer's two-term HPWL shortcut."""
+        _, part, nl, cons = flow_cases()[0]
+        with scalar_engines():
+            scalar = run_flow(nl, part, cons, seed=5)
+        array = run_flow(nl, part, cons, seed=5)
+        assert any(
+            len(n.sinks) == 1 for n in array.design.nets.values() if not n.is_clock
+        )
+        assert placement_of(scalar.design) == placement_of(array.design)
+        assert routing_of(scalar.design) == routing_of(array.design)
+
     def test_guide_adoption_unaffected_by_engine(self):
         nl, _ = build_counter_netlist(6)
         base = run_flow(nl, "XCV50", seed=2)
+        with scalar_engines():
+            scalar = run_flow(nl, "XCV50", guide=base.design, seed=2)
         reused = []
-        for engine in ("scalar", "array"):
-            res = run_flow(nl, "XCV50", guide=base.design, seed=2, engine=engine)
+        for res in (scalar, run_flow(nl, "XCV50", guide=base.design, seed=2)):
             reused.append(res.route_stats.nets_reused)
             assert res.design.routed()
         assert reused[0] == reused[1]
@@ -151,7 +163,7 @@ class TestTryMoveSingleEvaluation:
         """Regression: ``_try_move`` used to recompute every affected
         net's cost a second time after accepting a move."""
         design = packed_design(8)
-        placer = Placer(design, seed=3, engine="scalar")
+        placer = ScalarPlacer(design, seed=3)
         placer._assign_gclks()
         placer._build_state()
         placer._initial_placement()
@@ -159,15 +171,15 @@ class TestTryMoveSingleEvaluation:
         movable = [s for s in placer.comps.values() if not s.fixed]
 
         calls = []
-        real_net_cost = Placer._net_cost
+        real_net_cost = ScalarPlacer._net_cost
         monkeypatch.setattr(
-            Placer, "_net_cost",
+            ScalarPlacer, "_net_cost",
             lambda self, net: calls.append(net) or real_net_cost(self, net),
         )
         proposals = []
-        real_propose = Placer._propose
+        real_propose = ScalarPlacer._propose
         monkeypatch.setattr(
-            Placer, "_propose",
+            ScalarPlacer, "_propose",
             lambda self, m: proposals.append(real_propose(self, m)) or proposals[-1],
         )
 

@@ -5,8 +5,8 @@ on the final device state:
 
 * **BatchJpg** (shared base, frame cache) emitting a partial that is then
   applied to a clone of the base configuration — on *every* execution
-  backend: serial, thread, and process (the conformance matrix that keeps
-  the process backend honest);
+  backend: serial, thread, and warm (the conformance matrix that keeps
+  the worker-process pool honest);
 * the sequential **Jpg** single-shot path (`make_partial`), whose partial
   must be byte-identical to BatchJpg's;
 * **JBitsDiff** core extraction/replay (`repro.baselines.jbitsdiff`),
@@ -14,9 +14,9 @@ on the final device state:
   configuration stream.
 
 Any divergence fails with a frame-level dump (frame index, major.minor
-address, column kind) so the first differing frame is attributable.  A
-dying pool worker must abort the whole batch with an ExecError — never
-hand back a report missing items.
+address, column kind) so the first differing frame is attributable.
+(That a dying pool worker aborts the whole batch with an ExecError is
+checked in ``tests/exec/test_warmpool.py``.)
 """
 
 from __future__ import annotations
@@ -147,12 +147,12 @@ class TestBackendConformance:
             )
         # shared-clear accounting: every item cleared its region exactly
         # once (lookups == items).  In-process backends share one cache, so
-        # misses == regions; process workers each keep their own cache, so
+        # misses == regions; warm-pool workers each keep their own cache, so
         # misses depend on how the pool distributed the items — bounded by
         # regions below and lookups above, never more.
         cs = report.cache_stats
         assert cs.lookups == len(VERSIONS)
-        if backend in ("process", "warm"):
+        if backend == "warm":
             assert 2 <= cs.misses <= len(VERSIONS)
         else:
             assert cs.misses == 2 and cs.hits == 2
@@ -178,28 +178,6 @@ class TestBackendConformance:
             label_a=f"base+{backend} partial",
             label_b="Jpg merged full configuration",
         )
-
-    def test_worker_crash_fails_the_whole_batch(self, demo_project, monkeypatch):
-        """A dying worker process aborts the run with ExecError; the engine
-        never returns a report with silently missing items."""
-        from repro.errors import ExecError
-
-        monkeypatch.setenv("JPG_EXEC_CRASH", "r2/left")
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend="process")
-        try:
-            with pytest.raises(ExecError, match="lost a worker"):
-                engine.run(_items(demo_project))
-        finally:
-            engine.close()
-            monkeypatch.delenv("JPG_EXEC_CRASH", raising=False)
-        # the backend recovers once the fault is gone: a fresh pool serves
-        # the same manifest to completion
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend="process")
-        try:
-            report = engine.run(_items(demo_project))
-        finally:
-            engine.close()
-        assert report.ok and len(report.results) == len(VERSIONS)
 
 
 class TestBatchVsJBitsDiff:
