@@ -1,62 +1,52 @@
-"""The distributed generation cluster (``jpg cluster`` / ``jpg loadgen``).
+"""The distributed generation cluster (``jpg loadgen``).
 
 One ``jpg serve`` node already makes repeated work free (persistent
 disk cache, coalescing scheduler, pooled backends).  This package scales
-that *horizontally* while keeping every byte identical:
+that *horizontally* while keeping every byte identical.  There is no
+front-end process: clients route.
 
-* :mod:`repro.cluster.ring` — consistent hashing: each request key
-  (device, region footprint, content digest — the disk cache's own
-  coordinates) owns exactly one node, so the fleet is a sharded
-  content-addressed store and N nodes means N disjoint caches, not N
-  copies of one.
-* :mod:`repro.cluster.router` — the front-end process: speaks the same
-  JSON-lines protocol as a single node, consistent-hashes submits onto
-  the fleet, health-checks members (ping + deadline), drains in-flight
-  requests off a dying node by failing them over to the re-hashed
-  owner, and re-shards automatically on membership change.
-* :mod:`repro.cluster.peers` — tier 2 of the cache: on a local disk
-  miss a node asks the key's owning peer for its cached bytes (wire
-  ``fetch`` op, strictly cache-to-cache) before generating, so a
-  re-sharded or restarted fleet warms itself instead of regenerating.
+* :mod:`repro.cluster.ring` — consistent hashing: each request digest
+  owns exactly one node, so the fleet is a sharded content-addressed
+  store and N nodes means N disjoint caches, not N copies of one.
+* :mod:`repro.cluster.peers` — :class:`FleetClient`, the one client for
+  both jobs that walk a key's preference list: routing a submit to its
+  owner (moving on to the next owner when a node is unreachable) and
+  peer fill, tier 2 of the cache — on a local disk miss a node asks the
+  key's owner for its cached bytes (wire ``fetch`` op, strictly
+  cache-to-cache) before generating.  Because of peer fill any node
+  answers any key, so ``jpg submit --socket <node>`` needs no router.
 * :mod:`repro.cluster.fleet` — spawn a local loopback fleet of real
   worker processes (ephemeral ports, two-phase fleet-file bootstrap).
 * :mod:`repro.cluster.loadgen` — the fleet-scale load harness:
   zipf-skewed synthetic replay, p50/p95/p99 latency, per-tier hit
   ratios, and byte-identity verification against direct generation.
 
-See ``docs/ARCHITECTURE.md`` ("Cluster") for the full design.
+See ``docs/ARCHITECTURE.md`` ("The cluster") for the full design.
 """
 
 from .fleet import LocalFleet
 from .loadgen import (
     KeySpec,
     ReplayStats,
-    RouterThread,
     Workload,
     build_workload,
     replay,
     run_harness,
     zipf_sequence,
 )
-from .peers import Membership, PeerFiller
-from .ring import HashRing, request_key
-from .router import NodeDownError, NodeLink, Router
+from .peers import FleetClient, Membership
+from .ring import HashRing
 
 __all__ = [
+    "FleetClient",
     "HashRing",
     "KeySpec",
     "LocalFleet",
     "Membership",
-    "NodeDownError",
-    "NodeLink",
-    "PeerFiller",
     "ReplayStats",
-    "Router",
-    "RouterThread",
     "Workload",
     "build_workload",
     "replay",
-    "request_key",
     "run_harness",
     "zipf_sequence",
 ]

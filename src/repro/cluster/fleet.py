@@ -1,8 +1,7 @@
 """Spawn and manage a local worker fleet (one process per node).
 
-:class:`LocalFleet` is the bootstrap half of ``jpg cluster --spawn N``
-and the loopback fleet behind the load harness and the CI smoke job.  It
-solves the two-phase startup problem: each worker must bind before its
+:class:`LocalFleet` is the loopback fleet behind the load harness and
+the CI smoke job.  It solves the two-phase startup problem: each worker must bind before its
 address is known (ephemeral ports), but peer fill needs the *full*
 membership.  So:
 
@@ -15,7 +14,9 @@ membership.  So:
 
 Workers are real ``jpg serve`` processes (own interpreter, own
 scheduler, own disk cache directory), so a three-node loopback fleet
-exercises exactly the code a distributed deployment runs.
+exercises exactly the code a distributed deployment runs.  Clients
+reach it through :class:`~repro.cluster.peers.FleetClient` over
+:attr:`LocalFleet.addresses`; any single node also answers any key.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class LocalFleet:
     drains in-flight requests — see
     :meth:`~repro.serve.protocol.JpgServer.request_shutdown`) and
     escalates to SIGKILL only for stragglers.  :meth:`kill` is the chaos
-    hook: immediate SIGKILL of one node, no drain, for testing router
+    hook: immediate SIGKILL of one node, no drain, for testing client
     failover.
     """
 

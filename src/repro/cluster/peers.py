@@ -1,4 +1,4 @@
-"""Fleet membership and the two-tier peer-fill cache client.
+"""Fleet membership and the fleet client: routing and peer fill.
 
 **Membership** is a ``name -> address`` map.  :class:`Membership` serves
 it from a literal dict or from a JSON *fleet file*::
@@ -11,29 +11,45 @@ the fleet file once every port is published) and how operators re-shard a
 running fleet: the file is re-read on mtime change, so edits take effect
 on the next request without restarts.
 
-**Peer fill** is tier 2 of the cluster cache.  Tier 1 is each node's own
-:class:`~repro.serve.diskcache.DiskCache`; on a tier-1 miss the node asks
-the key's *owning* peer (consistent hash over the current membership) for
-its cached bytes before generating.  In steady state the router already
-sent the request to the owner, so peer fill is a no-op; after a
-membership change or a node restart it is what re-warms the fleet from
-itself instead of regenerating — the content-addressed key makes the
-fetched bytes trustworthy by construction.  Every failure mode (peer
-down, timeout, miss) degrades to ``None``, which the service answers by
-generating locally: peer fill can only ever *save* work.
+**The fleet client** is the only cluster client.  :class:`FleetClient`
+keeps one connection per node and walks a key's preference list
+(:meth:`~repro.cluster.ring.HashRing.owners` over the current
+membership).  The key is :meth:`~repro.serve.service.GenRequest.digest`,
+which already covers the region, so every party computes the same
+placement with no coordination.  It serves two callers:
+
+* *routing* — :meth:`FleetClient.submit` sends a request to its owner
+  and, when that node is unreachable, to the next owner down the list.
+  Generation is content-addressed and single-flighted on each node, so
+  the retry is safe.  A dead node costs the requests that hit it one
+  extra hop; the next request tries it again, so a restarted node
+  rejoins with no extra code;
+* *peer fill* — tier 2 of the cluster cache.  Tier 1 is each node's own
+  :class:`~repro.serve.diskcache.DiskCache`; on a tier-1 miss the node
+  asks the key's owner (and one successor, where the key most likely
+  lived before a re-shard) for its cached bytes before generating.
+  This is what lets any node answer any key: a request sent to the
+  wrong node is filled from the owner's cache, not regenerated.  Every
+  failure mode (peer down, timeout, miss) degrades to ``None``, which
+  the service answers by generating locally: peer fill can only ever
+  *save* work.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import threading
 from collections.abc import Mapping
 
+from ..errors import ServiceUnavailableError, UsageError
 from ..obs import current_metrics
 from ..serve.protocol import ServeClient
-from .ring import HashRing, request_key
+from ..serve.service import GenRequest
+from .ring import HashRing
+
+#: Peers one fill probes: the key's owner plus one ring successor.
+PEER_PROBES = 2
 
 
 class Membership:
@@ -78,71 +94,120 @@ class Membership:
         return self.nodes().get(name)
 
 
-class PeerFiller:
-    """The ``peer_fetch`` callable a cluster node plugs into its
-    :class:`~repro.serve.service.GenerationService`.
+def _ring_key(msg: dict) -> str:
+    """The ring key of a ``submit`` message: its request digest.  A
+    malformed message still routes (the node answers bad-request)."""
+    try:
+        return GenRequest.from_wire(msg).digest()
+    except UsageError:
+        return ""
 
-    On call it rebuilds placement from the *current* membership, walks
-    the key's preference list (owner first, then the ring successors the
-    key most likely lived on before a re-shard), skips itself, and asks
-    up to ``probes`` peers via the wire ``fetch`` op.  Connections are
-    cached per peer and dropped on any error; every failure is a miss.
-    Thread-safe — the scheduler calls it from its worker threads.
+
+class FleetClient:
+    """Client-side routing and peer fill over one fleet.
+
+    Placement is rebuilt from the *current* membership on every call;
+    connections are cached per node and dropped on any error.
+    Thread-safe: the scheduler calls :meth:`fetch` from its worker
+    threads, and each connection serializes its own requests.
     """
 
-    def __init__(self, membership: Membership, self_name: str, *,
-                 part: str = "", probes: int = 2, timeout: float = 5.0):
+    def __init__(self, membership: Membership, *, timeout: float = 300.0):
         self.membership = membership
-        self.self_name = self_name
-        self.part = part
-        self.probes = probes
         self.timeout = timeout
-        self._clients: dict[str, ServeClient] = {}
+        self._ring = HashRing()
+        self._clients: dict[str, tuple[str, ServeClient]] = {}
         self._lock = threading.Lock()
+
+    def _owners(self, key: str) -> list[tuple[str, str]]:
+        """The key's preference list as ``(name, address)`` pairs."""
+        nodes = self.membership.nodes()
+        with self._lock:
+            self._ring.replace(nodes)
+            names = self._ring.owners(key)
+        return [(name, nodes[name]) for name in names]
 
     def _client(self, name: str, address: str) -> ServeClient:
         with self._lock:
-            client = self._clients.get(name)
-            if client is None:
-                client = ServeClient(address, timeout=self.timeout)
-                self._clients[name] = client
-            return client
+            cached = self._clients.get(name)
+            if cached is not None and cached[0] == address:
+                return cached[1]
+            client = ServeClient(address, timeout=self.timeout)
+            self._clients[name] = (address, client)
+        if cached is not None:
+            cached[1].close()          # the node moved to a new address
+        return client
 
     def _drop(self, name: str) -> None:
         with self._lock:
-            client = self._clients.pop(name, None)
-        if client is not None:
-            client.close()
+            cached = self._clients.pop(name, None)
+        if cached is not None:
+            cached[1].close()
 
     def close(self) -> None:
-        """Close every cached peer connection (idempotent)."""
+        """Close every cached node connection (idempotent)."""
         with self._lock:
-            clients, self._clients = dict(self._clients), {}
-        for client in clients.values():
+            clients, self._clients = self._clients, {}
+        for _, client in clients.values():
             client.close()
 
-    def __call__(self, base_key: str, region_tag: str, digest: str) -> bytes | None:
-        """Tier-2 lookup: the owning peer's cached bytes, or None."""
-        nodes = self.membership.nodes()
-        if len(nodes) < 2:
-            return None
-        ring = HashRing(nodes)
-        key = request_key(self.part, region_tag, digest)
+    def __enter__(self) -> "FleetClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def request(self, msg: dict) -> dict:
+        """Send one ``submit`` message to the owner of its key, moving
+        down the preference list past unreachable nodes.
+
+        The response carries ``node``, the name of the node that
+        answered; when no node answers it is the ``no-nodes`` error
+        envelope."""
+        for name, address in self._owners(_ring_key(msg)):
+            try:
+                resp = self._client(name, address).request(msg)
+            except ServiceUnavailableError:
+                self._drop(name)
+                continue
+            resp["node"] = name
+            return resp
+        return {"id": msg.get("id"), "ok": False, "code": "no-nodes",
+                "error": "no worker node is reachable for this request"}
+
+    def submit(
+        self,
+        name: str,
+        xdl: str,
+        *,
+        ucf: str | None = None,
+        region: str | None = None,
+        granularity: str = "column",
+    ) -> dict:
+        """Submit one generation request (see
+        :meth:`~repro.serve.protocol.ServeClient.submit`)."""
+        return self.request({
+            "op": "submit", "name": name, "xdl": xdl, "ucf": ucf,
+            "region": region, "granularity": granularity,
+        })
+
+    def fetch(self, base_key: str, region_tag: str, digest: str, *,
+              skip: str | None = None) -> bytes | None:
+        """Tier-2 lookup: a peer's cached bytes for a key, or None.
+
+        Probes the first :data:`PEER_PROBES` owners of ``digest`` other
+        than ``skip`` (the asking node) with the wire ``fetch`` op; every
+        failure is a miss."""
         metrics = current_metrics()
-        for name in ring.owners(key, self.probes + 1):
-            if name == self.self_name:
-                continue
-            address = nodes.get(name)
-            if address is None:
-                continue
+        peers = [p for p in self._owners(digest) if p[0] != skip]
+        for name, address in peers[:PEER_PROBES]:
             metrics.count("cluster.peer_probes")
             try:
                 data = self._client(name, address).fetch(base_key, region_tag, digest)
             except Exception:
                 # peer down or protocol failure: drop the connection and
                 # let the next probe (or local generation) take over
-                with contextlib.suppress(Exception):
-                    self._drop(name)
+                self._drop(name)
                 metrics.count("cluster.peer_fetch_errors")
                 continue
             if data is not None:

@@ -12,10 +12,10 @@ the key space — which is exactly what lets the two-tier peer-fill cache
 (:mod:`repro.cluster.peers`) re-warm a re-sharded fleet instead of
 regenerating everything.
 
-Keys are plain strings.  The canonical request key is
-:func:`request_key` — ``device | region footprint | content digest`` —
-the same three coordinates the disk cache is addressed by, so the router
-and every worker node compute identical placement without coordination.
+Keys are plain strings.  The cluster's key is the request digest
+(:meth:`~repro.serve.service.GenRequest.digest`), the disk cache's own
+module key, so every client and every node computes identical placement
+without coordination.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ def _ring_hash(text: str) -> int:
     return int.from_bytes(
         hashlib.sha256(text.encode()).digest()[:8], "big"
     )
-
-
-def request_key(part: str, region_tag: str, digest: str) -> str:
-    """The canonical routing key: ``(device, region footprint,
-    content digest)`` — the disk cache's coordinates, stringified."""
-    return f"{part}|{region_tag}|{digest}"
 
 
 class HashRing:

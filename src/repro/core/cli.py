@@ -14,7 +14,6 @@ helpers::
     jpg serve -p XCV100 --base b.bit --socket /tmp/jpg.sock --cache-dir .jpgcache
     jpg serve -p XCV100 --base b.bit --tcp 0.0.0.0:4100 --cache-dir .jpgcache
     jpg submit --socket /tmp/jpg.sock --xdl m.xdl --ucf m.ucf -o out.bit
-    jpg cluster --spawn 3 -p XCV100 --base b.bit --listen 127.0.0.1:4000
     jpg loadgen --workload demo -n 1000 --nodes 3 --out BENCH_10.json
 
 ``jpg batch`` is the Figure-4 workflow: a JSON manifest lists N module
@@ -494,16 +493,17 @@ def _cmd_serve(args) -> int:
         from ..jbits import SimulatedXhwif
 
         xhwif = SimulatedXhwif(Board(args.part))
-    peer_fetch = None
+    peers = peer_fetch = None
     if args.peers_file:
         if not args.node_id:
             raise UsageError("--peers-file needs --node-id NAME (this node's "
                              "name in the fleet file)")
-        from ..cluster import Membership, PeerFiller
+        import functools
 
-        peer_fetch = PeerFiller(
-            Membership(path=args.peers_file), args.node_id, part=args.part
-        )
+        from ..cluster import FleetClient, Membership
+
+        peers = FleetClient(Membership(path=args.peers_file), timeout=5.0)
+        peer_fetch = functools.partial(peers.fetch, skip=args.node_id)
     service = GenerationService(
         args.part,
         base,
@@ -549,76 +549,9 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             asyncio.run(server.serve_unix(args.socket, handle_signals=True))
     finally:
-        if peer_fetch is not None:
-            peer_fetch.close()
+        if peers is not None:
+            peers.close()
     print("jpg serve: drained and stopped", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_cluster(args) -> int:
-    import asyncio
-    import os
-
-    from ..cluster import LocalFleet, Router
-    from ..serve import parse_address
-
-    nodes: dict[str, str] = {}
-    for spec in args.node or []:
-        name, _, addr = spec.partition("=")
-        if not addr:
-            raise UsageError(f"--node wants NAME=HOST:PORT, got {spec!r}")
-        nodes[name] = addr
-    if args.peers_file:
-        import json
-
-        with open(args.peers_file, encoding="utf-8") as f:
-            nodes.update({str(k): str(v)
-                          for k, v in json.load(f).get("nodes", {}).items()})
-    fleet = None
-    if args.spawn:
-        if not (args.part and args.base):
-            raise UsageError("cluster --spawn needs -p PART and --base FILE")
-        fleet = LocalFleet(args.part, args.base, nodes=args.spawn,
-                           workdir=args.workdir)
-        nodes.update(fleet.start())
-        print(f"jpg cluster: spawned {args.spawn} worker(s): "
-              + ", ".join(f"{n}={a}" for n, a in sorted(fleet.addresses.items())),
-              file=sys.stderr)
-    if not nodes:
-        raise UsageError("cluster needs worker nodes: --node NAME=ADDR, "
-                         "--peers-file FILE, or --spawn N")
-    router = Router(nodes, part=args.part or "",
-                    stop_nodes=args.stop_nodes or fleet is not None)
-
-    async def _front() -> None:
-        if args.socket:
-            print(f"jpg cluster: routing {len(nodes)} node(s) on {args.socket}",
-                  file=sys.stderr)
-            await router.serve_unix(args.socket, handle_signals=True)
-            return
-        host, port = parse_address(args.listen)
-        task = asyncio.ensure_future(
-            router.serve_tcp(host, port, handle_signals=True)
-        )
-        while router.tcp_address is None and not task.done():
-            await asyncio.sleep(0.01)
-        if router.tcp_address is not None:
-            bound = router.tcp_address
-            print(f"jpg cluster: routing {len(nodes)} node(s) on "
-                  f"{bound[0]}:{bound[1]}", file=sys.stderr)
-            if args.port_file:
-                tmp = args.port_file + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as f:
-                    f.write(f"{bound[1]}\n")
-                os.replace(tmp, args.port_file)
-        await task
-
-    try:
-        asyncio.run(_front())
-    finally:
-        if fleet is not None:
-            fleet.stop()
-    print("jpg cluster: stopped", file=sys.stderr)
     return EXIT_OK
 
 
@@ -632,7 +565,7 @@ def _cmd_loadgen(args) -> int:
         sequence = loadgen.zipf_sequence(
             len(wl.keys), args.requests, skew=args.skew, seed=args.seed
         )
-        stats = loadgen.replay(args.target, wl.keys, sequence,
+        stats = loadgen.replay({args.target: args.target}, wl.keys, sequence,
                                target=args.target, concurrency=args.concurrency)
         report = {
             "workload": args.workload, "cluster": True, "part": wl.part,
@@ -667,14 +600,8 @@ def _cmd_submit(args) -> int:
         if args.stats:
             import json
 
-            resp = client.stats()
-            # a single node wraps its stats; a router replies with the
-            # aggregated fleet view at the top level
-            body = resp.get("stats")
-            if body is None:
-                body = {k: v for k, v in resp.items()
-                        if k not in ("id", "op", "ok")}
-            print(json.dumps(body, indent=2, sort_keys=True))
+            print(json.dumps(client.stats().get("stats"), indent=2,
+                             sort_keys=True))
             return EXIT_OK
         if not args.xdl:
             raise UsageError("submit needs --xdl (or --stats / --shutdown)")
@@ -1015,32 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "inside these regions (T001/T002 vs the base)")
     p.set_defaults(fn=_cmd_serve)
 
-    p = sub.add_parser("cluster", help="front a fleet of jpg serve nodes with "
-                                       "a consistent-hash router")
-    p.add_argument("--listen", metavar="HOST:PORT", default="127.0.0.1:0",
-                   help="TCP address clients connect to (default ephemeral "
-                        "on loopback)")
-    p.add_argument("--socket", help="listen on a unix socket instead of TCP")
-    p.add_argument("--port-file", metavar="FILE",
-                   help="write the bound TCP port here once listening "
-                        "(atomic; for scripted bootstrap)")
-    p.add_argument("--node", action="append", metavar="NAME=HOST:PORT",
-                   help="one worker node (repeat per node)")
-    p.add_argument("--peers-file", metavar="FILE",
-                   help="load worker nodes from a fleet membership JSON")
-    p.add_argument("--spawn", type=int, metavar="N",
-                   help="spawn N loopback worker processes (needs -p and "
-                        "--base), wired for peer fill")
-    p.add_argument("-p", "--part", help="device part (required with --spawn; "
-                                        "also shards routing per device)")
-    p.add_argument("--base", help="base design .bit file for spawned workers")
-    p.add_argument("--workdir", help="fleet working directory for --spawn "
-                                     "(port files, fleet file, caches)")
-    p.add_argument("--stop-nodes", action="store_true",
-                   help="a client 'shutdown' also drains and stops every "
-                        "worker node (implied with --spawn)")
-    p.set_defaults(fn=_cmd_cluster)
-
     p = sub.add_parser("loadgen", help="fleet-scale load harness: zipf-skewed "
                                        "replay, latency quantiles, per-tier "
                                        "hit ratios, byte-identity check")
@@ -1069,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "running jpg serve")
     p.add_argument("--socket", required=True,
                    help="server address: unix socket path or HOST:PORT "
-                        "(a single node or a cluster router)")
+                        "(any node of a fleet answers any key)")
     p.add_argument("--xdl", help="module implementation .xdl")
     p.add_argument("--ucf", help="constraints .ucf (provides the region)")
     p.add_argument("--region", help="explicit region SITE:SITE (overrides UCF)")

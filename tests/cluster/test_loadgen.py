@@ -1,10 +1,11 @@
 """Load harness pieces and the loopback-fleet end-to-end runs.
 
 The e2e tests spawn real ``jpg serve`` worker processes (the same code a
-distributed deployment runs) behind an in-process router, replay a
-zipf-skewed stream, and assert the acceptance properties directly: zero
-lost requests (including with a worker SIGKILLed mid-replay), warm-pass
-disk hits, and byte identity against direct generation.
+distributed deployment runs), replay a zipf-skewed stream with every
+client routing through its own ``FleetClient``, and assert the
+acceptance properties directly: zero lost requests (including with any
+node SIGKILLed mid-replay), warm-pass disk hits, and byte identity
+against direct generation.
 """
 
 import collections
@@ -13,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import LocalFleet, RouterThread, loadgen
+from repro.cluster import HashRing, LocalFleet, loadgen
 from repro.cluster.loadgen import (
     KeySpec, ReplayStats, Workload, replay, verify_keys, zipf_sequence,
 )
@@ -77,15 +78,13 @@ def demo_workload(demo_project, keys=8):
 
 @pytest.fixture(scope="module")
 def live_fleet(demo_project, tmp_path_factory):
-    """A running 3-node loopback fleet + router over the demo base."""
+    """A running 3-node loopback fleet over the demo base."""
     tmp = tmp_path_factory.mktemp("fleet")
     base_path = str(tmp / "base.bit")
     demo_project.base_bitfile.save(base_path)
     fleet = LocalFleet("XCV50", base_path, nodes=3, workdir=str(tmp / "work"))
     fleet.start()
-    front = RouterThread(fleet.addresses, part="XCV50", ping_interval=0.2)
-    yield {"fleet": fleet, "front": front, "address": front.address}
-    front.stop()
+    yield fleet
     fleet.stop()
 
 
@@ -93,11 +92,11 @@ class TestFleetEndToEnd:
     def test_replay_cold_then_warm(self, demo_project, live_fleet):
         wl = demo_workload(demo_project, keys=6)
         seq = zipf_sequence(len(wl.keys), 36, skew=1.1, seed=1)
-        cold = replay(live_fleet["address"], wl.keys, seq,
+        cold = replay(live_fleet.addresses, wl.keys, seq,
                       target="cold", concurrency=3)
         assert cold.requests == 36 and cold.errors == 0
         assert cold.sources.get("generated", 0) >= 1
-        warm = replay(live_fleet["address"], wl.keys, seq,
+        warm = replay(live_fleet.addresses, wl.keys, seq,
                       target="warm", concurrency=3)
         assert warm.errors == 0
         # every key generated at most once fleet-wide: the warm pass is
@@ -110,52 +109,53 @@ class TestFleetEndToEnd:
                                                      live_fleet):
         wl = demo_workload(demo_project, keys=4)
         seq = zipf_sequence(len(wl.keys), 12, skew=1.0, seed=2)
-        stats = replay(live_fleet["address"], wl.keys, seq, concurrency=2)
+        stats = replay(live_fleet.addresses, wl.keys, seq, concurrency=2)
         assert stats.errors == 0
         verdict = verify_keys(wl, stats, sample=3)
         assert verdict["ok"], verdict
         assert verdict["identical"] == verdict["sampled"] == 3
 
-    def test_kill_one_worker_mid_replay_loses_zero_requests(
-            self, demo_project, tmp_path):
-        """The acceptance chaos case: SIGKILL a worker while the stream is
-        in flight; the router fails its requests over and the client sees
-        every response."""
+    @pytest.mark.parametrize("victim", ["n0", "n1", "n2"])
+    def test_kill_any_node_mid_replay_loses_zero_requests(
+            self, demo_project, tmp_path, victim):
+        """The acceptance chaos case: SIGKILL any node while the stream
+        is in flight; each client moves the dead node's keys on to the
+        next owner and sees every response."""
         base_path = str(tmp_path / "base.bit")
         demo_project.base_bitfile.save(base_path)
         with LocalFleet("XCV50", base_path, nodes=3,
                         workdir=str(tmp_path / "work")) as fleet:
-            front = RouterThread(fleet.addresses, part="XCV50",
-                                 ping_interval=0.1)
-            try:
-                wl = demo_workload(demo_project, keys=6)
-                seq = zipf_sequence(len(wl.keys), 60, skew=1.1, seed=3)
-                # one cheap pass so every node holds its shard's bytes
-                warmup = replay(front.address, wl.keys,
-                                zipf_sequence(len(wl.keys), 12, seed=3),
-                                concurrency=2)
-                assert warmup.errors == 0
-                killed = threading.Event()
+            # 10 keys: every node owns some of the stream's later keys
+            wl = demo_workload(demo_project, keys=10)
+            seq = zipf_sequence(len(wl.keys), 60, skew=1.1, seed=3)
+            ring = HashRing(fleet.addresses)
+            owned = [i for i in seq[30:]
+                     if ring.owner(wl.keys[i].request().digest()) == victim]
+            assert owned, "the victim must own keys requested after the kill"
+            # one cheap pass so every node holds its shard's bytes
+            warmup = replay(fleet.addresses, wl.keys,
+                            zipf_sequence(len(wl.keys), 12, seed=3),
+                            concurrency=2)
+            assert warmup.errors == 0
+            killed = threading.Event()
 
-                def chaos(done):
-                    if done >= 20 and not killed.is_set():
-                        killed.set()
-                        fleet.kill("n1")           # SIGKILL, no drain
+            def chaos(done):
+                if done >= 20 and not killed.is_set():
+                    killed.set()
+                    fleet.kill(victim)             # SIGKILL, no drain
 
-                stats = replay(front.address, wl.keys, seq,
-                               concurrency=3, on_progress=chaos)
-                assert killed.is_set()
-                assert stats.requests == 60
-                assert stats.errors == 0, stats.error_samples
-                assert stats.ok == 60
-                assert stats.mismatches == 0       # failover bytes identical
-            finally:
-                front.stop()
+            stats = replay(fleet.addresses, wl.keys, seq,
+                           concurrency=3, on_progress=chaos)
+            assert killed.is_set()
+            assert stats.requests == 60
+            assert stats.errors == 0, stats.error_samples
+            assert stats.ok == 60
+            assert stats.mismatches == 0           # failover bytes identical
 
     def test_report_table_renders(self, demo_project, live_fleet):
         wl = demo_workload(demo_project, keys=4)
         seq = zipf_sequence(len(wl.keys), 8, seed=5)
-        stats = replay(live_fleet["address"], wl.keys, seq, target="probe",
+        stats = replay(live_fleet.addresses, wl.keys, seq, target="probe",
                        concurrency=2)
         report = {
             "workload": "demo", "results": [stats.to_entry()],

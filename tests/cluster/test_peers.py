@@ -1,4 +1,4 @@
-"""Membership views and the two-tier peer-fill path.
+"""Membership views and the two-tier peer-fill path (FleetClient.fetch).
 
 The wire-level tests run a real ``JpgServer`` over TCP with a fake
 service; the integration tests wire two *real* generation services
@@ -6,14 +6,16 @@ together so a disk miss on one is served from the other's cache.
 """
 
 import asyncio
+import functools
 import json
 import os
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.cluster import Membership, PeerFiller
+from repro.cluster import FleetClient, HashRing, Membership
 from repro.serve import GenerationService, GenRequest, JpgServer
 
 from ..serve.test_scheduler import FakeService
@@ -61,6 +63,13 @@ class FetchPeer(FakeService):
         return None
 
 
+class FullPeer(FakeService):
+    """Fake worker whose cache holds every key (bytes name the digest)."""
+
+    def fetch_partial(self, base_key, tag, digest):
+        return f"bytes:{digest}".encode()
+
+
 def _start_tcp(service):
     srv = JpgServer(service, max_queue=8, workers=2)
     thread = threading.Thread(
@@ -74,10 +83,7 @@ def _start_tcp(service):
     return srv, thread, f"{srv.tcp_address[0]}:{srv.tcp_address[1]}"
 
 
-@pytest.fixture()
-def peer_node():
-    srv, thread, address = _start_tcp(FetchPeer())
-    yield address
+def _stop_tcp(thread, address):
     from repro.serve import ServeClient
 
     with ServeClient(address) as c:
@@ -85,30 +91,93 @@ def peer_node():
     thread.join(timeout=10)
 
 
+@pytest.fixture()
+def peer_node():
+    srv, thread, address = _start_tcp(FetchPeer())
+    yield address
+    _stop_tcp(thread, address)
+
+
 HIT = "hit" * 21 + "h"
 
 
 class TestPeerFiller:
+    """Peer fill: ``FleetClient.fetch`` as a node's ``peer_fetch``."""
+
     def test_fetches_from_owning_peer(self, peer_node):
         m = Membership({"self": "127.0.0.1:1", "peer": peer_node})
-        filler = PeerFiller(m, "self", probes=2)
-        try:
-            assert filler("base", "t", HIT) == b"peer-bytes"
-            assert filler("base", "t", "m" * 64) is None      # peer miss
-        finally:
-            filler.close()
+        with FleetClient(m) as client:
+            assert client.fetch("base", "t", HIT, skip="self") == b"peer-bytes"
+            assert client.fetch("base", "t", "m" * 64, skip="self") is None
 
     def test_single_node_fleet_skips_probing(self):
-        filler = PeerFiller(Membership({"self": "a:1"}), "self")
-        assert filler("base", "t", HIT) is None
+        client = FleetClient(Membership({"self": "a:1"}))
+        assert client.fetch("base", "t", HIT, skip="self") is None
 
     def test_dead_peer_degrades_to_miss(self):
         m = Membership({"self": "127.0.0.1:1", "peer": "127.0.0.1:1"})
-        filler = PeerFiller(m, "self", timeout=0.5)
+        with FleetClient(m, timeout=0.5) as client:
+            assert client.fetch("base", "t", HIT, skip="self") is None
+
+    def test_probes_the_owner_and_one_successor(self):
+        """A 4-node fleet with two dead members: the live peer answers
+        when it is among the first two owners after the caller, and is
+        never probed when it comes third."""
+        srv, thread, address = _start_tcp(FullPeer())
+        m = Membership({"self": "127.0.0.1:1", "d1": "127.0.0.1:1",
+                        "d2": "127.0.0.1:1", "peer": address})
+        ring = HashRing(m.nodes())
+
+        def rank(digest):
+            return [n for n in ring.owners(digest) if n != "self"].index("peer")
+
+        digests = [f"d{i}" for i in range(64)]
+        near = next(d for d in digests if rank(d) == 1)
+        far = next(d for d in digests if rank(d) == 2)
         try:
-            assert filler("base", "t", HIT) is None            # not an error
+            with FleetClient(m, timeout=0.5) as client:
+                assert client.fetch("b", "t", near, skip="self") == f"bytes:{near}".encode()
+                assert client.fetch("b", "t", far, skip="self") is None
         finally:
-            filler.close()
+            _stop_tcp(thread, address)
+
+    def test_concurrent_fetches_share_one_connection_safely(self):
+        """The scheduler's worker threads share one connection per peer:
+        every caller must get its own digest's bytes, and no reply may be
+        lost to another thread (a lost reply is a miss, which a real
+        node would answer by regenerating)."""
+        srv, thread, address = _start_tcp(FullPeer())
+        m = Membership({"self": "127.0.0.1:1", "peer": address})
+        results: dict[int, list] = {}
+
+        def caller(t):
+            results[t] = [
+                (digest, client.fetch("base", "t", digest, skip="self"))
+                for digest in (f"{t}-{i}" for i in range(100))
+            ]
+
+        client = FleetClient(m, timeout=5.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads mid-request often
+        try:
+            threads = [threading.Thread(target=caller, args=(t,), daemon=True)
+                       for t in range(8)]
+            start = time.monotonic()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=max(0.0, start + 10 - time.monotonic()))
+            elapsed = time.monotonic() - start
+            assert not any(t.is_alive() for t in threads), "a caller hung"
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+            _stop_tcp(thread, address)
+        pairs = [pair for rows in results.values() for pair in rows]
+        assert len(pairs) == 800
+        assert [d for d, data in pairs if data is None] == []
+        assert all(data == f"bytes:{d}".encode() for d, data in pairs)
+        assert elapsed < 2.0
 
 
 class TestServicePeerFill:
@@ -132,12 +201,12 @@ class TestServicePeerFill:
         srv, thread, address = _start_tcp(node_a)
 
         membership = Membership({"a": address, "b": "127.0.0.1:1"})
-        filler = PeerFiller(membership, "b", part="XCV50")
+        peers = FleetClient(membership)
         node_b = GenerationService(
             "XCV50", demo_project.base_bitfile,
             demo_project.base_flow.design,
             cache_dir=str(tmp_path / "b"), backend="serial",
-            peer_fetch=filler,
+            peer_fetch=functools.partial(peers.fetch, skip="b"),
         )
         try:
             served = node_b.generate(request_r1)
@@ -150,13 +219,9 @@ class TestServicePeerFill:
             assert stats["counters"]["serve.served_from_peer"] == 1
             assert "serve.peer_fill" in stats["latency"]
         finally:
-            filler.close()
+            peers.close()
             node_b.close()
-            from repro.serve import ServeClient
-
-            with ServeClient(address) as c:
-                c.shutdown()
-            thread.join(timeout=10)
+            _stop_tcp(thread, address)
 
     def test_fetch_partial_never_generates(self, demo_project, request_r1):
         service = GenerationService(

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.cluster import HashRing, request_key
+from repro.cluster import HashRing
 from repro.errors import ServeError
 
 pytestmark = pytest.mark.cluster
 
-KEYS = [request_key("XCV50", f"0_{c}_15_{c + 5}", f"digest{i}")
-        for i, c in enumerate(range(2, 12))
-        for _ in range(20)]
 UNIQUE_KEYS = [f"key-{i}" for i in range(2000)]
 
 

@@ -1,18 +1,19 @@
-"""Router: consistent routing, health-driven failover, aggregation.
+"""Client-side routing: consistent placement and failover in FleetClient.
 
 Workers are real ``JpgServer`` instances over TCP with the fake service
-(fast, deterministic); the router runs on its own loop via
-:class:`RouterThread` — exactly how the CLI and the harness use it.
+(fast, deterministic); the client reads membership from a fleet file,
+exactly how a spawned fleet's nodes and the load harness see it.
 """
 
 import asyncio
 import json
+import os
 import threading
 import time
 
 import pytest
 
-from repro.cluster import RouterThread
+from repro.cluster import FleetClient, Membership
 from repro.serve import JpgServer, ServeClient, decode_partial
 
 from ..serve.test_scheduler import FakeService
@@ -49,125 +50,88 @@ class Worker:
         self.thread.join(timeout=10)
 
 
+def write_fleet_file(path, workers):
+    """Publish membership; the bumped mtime makes readers reload."""
+    path.write_text(json.dumps(
+        {"nodes": {n: w.address for n, w in workers.items()}}
+    ))
+    os.utime(path, (time.time() + 5, time.time() + 5))
+
+
 @pytest.fixture()
-def fleet():
+def fleet(tmp_path):
     workers = {f"n{i}": Worker() for i in range(3)}
-    front = RouterThread({n: w.address for n, w in workers.items()},
-                         part="XCV50", ping_interval=0.1)
-    yield {"workers": workers, "front": front,
-           "address": front.address, "router": front.router}
-    front.stop()
+    fleet_file = tmp_path / "fleet.json"
+    write_fleet_file(fleet_file, workers)
+    client = FleetClient(Membership(path=str(fleet_file)), timeout=10)
+    yield {"workers": workers, "client": client, "fleet_file": fleet_file}
+    client.close()
     for w in workers.values():
         w.stop()
 
 
 class TestRouting:
     def test_submit_roundtrip_through_router(self, fleet):
-        with ServeClient(fleet["address"]) as client:
-            resp = client.submit("mod", "xdl text")
+        resp = fleet["client"].submit("mod", "xdl text")
         assert resp["ok"]
         assert decode_partial(resp) == b"data:mod"
         assert resp["node"] in fleet["workers"]
 
     def test_same_key_always_same_node(self, fleet):
-        with ServeClient(fleet["address"]) as client:
-            nodes = {client.submit("m", "fixed xdl")["node"] for _ in range(8)}
+        nodes = {fleet["client"].submit("m", "fixed xdl")["node"]
+                 for _ in range(8)}
         assert len(nodes) == 1
+        # a second client computes the same placement independently
+        with FleetClient(Membership(path=str(fleet["fleet_file"]))) as other:
+            assert other.submit("m", "fixed xdl")["node"] in nodes
 
     def test_distinct_keys_spread_across_nodes(self, fleet):
-        with ServeClient(fleet["address"]) as client:
-            nodes = {client.submit(f"m{i}", f"xdl {i}")["node"]
-                     for i in range(40)}
+        nodes = {fleet["client"].submit(f"m{i}", f"xdl {i}")["node"]
+                 for i in range(40)}
         assert len(nodes) >= 2                    # the fleet actually shards
 
     def test_routing_matches_worker_call_counts(self, fleet):
-        with ServeClient(fleet["address"]) as client:
-            for i in range(20):
-                assert client.submit(f"m{i}", f"xdl {i}")["ok"]
+        for i in range(20):
+            assert fleet["client"].submit(f"m{i}", f"xdl {i}")["ok"]
         calls = sum(len(w.service.calls) for w in fleet["workers"].values())
         assert calls == 20                        # no duplicates, no drops
-
-    def test_ping_and_unknown_op(self, fleet):
-        with ServeClient(fleet["address"]) as client:
-            pong = client.ping()
-            assert pong["ok"] and pong["router"] is True
-            bad = client.request({"op": "frobnicate"})
-        assert not bad["ok"] and bad["code"] == "bad-request"
-
-    def test_malformed_line_is_answered(self, fleet):
-        import socket as socket_mod
-
-        host, port = fleet["address"].rsplit(":", 1)
-        sock = socket_mod.create_connection((host, int(port)), timeout=10)
-        f = sock.makefile("rwb")
-        f.write(b"not json\n")
-        f.flush()
-        resp = json.loads(f.readline())
-        assert not resp["ok"] and resp["code"] == "bad-request"
-        sock.close()
-
-
-class TestStats:
-    def test_aggregated_stats(self, fleet):
-        with ServeClient(fleet["address"]) as client:
-            client.submit("m", "x")
-            resp = client.stats()
-        assert resp["ok"] and resp["router"] is True
-        assert set(resp["nodes"]) == {"n0", "n1", "n2"}
-        for entry in resp["nodes"].values():
-            assert entry["up"] is True
-            assert entry["stats"] == {"calls": entry["stats"]["calls"]}
-        assert resp["counters"]["cluster.routed"] >= 1
-        assert "cluster.route" in resp["latency"]
 
 
 class TestFailover:
     def test_killed_node_loses_zero_requests(self, fleet):
-        """Requests owned by a dead node fail over to the re-hashed owner:
-        the client sees every response, none errored."""
-        with ServeClient(fleet["address"]) as client:
-            owners = {f"k{i}": client.submit(f"k{i}", f"xdl {i}")["node"]
-                      for i in range(12)}
-            victim = next(iter(owners.values()))
-            fleet["workers"][victim].stop()        # abrupt: no drain
-            for name, owner in owners.items():
-                resp = client.submit(name, f"xdl {name[1:]}")
-                assert resp["ok"], resp
-                assert resp["node"] != victim
-        assert fleet["router"].metrics.counter("cluster.node_down") >= 1
+        """Requests owned by a dead node move on to the next owner: the
+        client sees every response, none errored."""
+        client = fleet["client"]
+        owners = {f"k{i}": client.submit(f"k{i}", f"xdl {i}")["node"]
+                  for i in range(12)}
+        victim = next(iter(owners.values()))
+        fleet["workers"][victim].stop()            # abrupt: no drain
+        for name in owners:
+            resp = client.submit(name, f"xdl {name[1:]}")
+            assert resp["ok"], resp
+            assert resp["node"] != victim
 
     def test_all_nodes_down_is_an_error_envelope(self):
         workers = {f"n{i}": Worker() for i in range(2)}
-        front = RouterThread({n: w.address for n, w in workers.items()},
-                             ping_interval=0.1)
-        try:
-            address = front.address
+        nodes = {n: w.address for n, w in workers.items()}
+        with FleetClient(Membership(nodes), timeout=10) as client:
+            assert client.submit("m", "x")["ok"]   # a live connection first
             for w in workers.values():
                 w.stop()
-            with ServeClient(address) as client:
-                resp = client.submit("m", "x")
-            assert not resp["ok"] and resp["code"] == "no-nodes"
-        finally:
-            front.stop()
+            resp = client.submit("m", "x")
+        assert not resp["ok"] and resp["code"] == "no-nodes"
 
     def test_recovered_node_rejoins(self, fleet):
-        router = fleet["router"]
-        assert len(router.up_nodes) == 3
+        client = fleet["client"]
+        key = next(f"k{i}" for i in range(100)
+                   if client.submit(f"k{i}", "x")["node"] == "n0")
         fleet["workers"]["n0"].stop()
-        deadline = time.monotonic() + 10
-        while "n0" in router.up_nodes:
-            assert time.monotonic() < deadline, "health check never fired"
-            time.sleep(0.05)
-        # bring a replacement up on a fresh port under the same name;
-        # membership mutations belong to the router's loop
+        assert client.submit(key, "x")["node"] != "n0"
+        # bring a replacement up on a fresh port under the same name and
+        # rewrite the fleet file: the very next request goes back to it
         replacement = Worker()
         fleet["workers"]["n0"] = replacement
-        router.loop.call_soon_threadsafe(
-            router.add_node, "n0", replacement.address
-        )
-        deadline = time.monotonic() + 10
-        while "n0" not in router.up_nodes:
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
-        with ServeClient(fleet["address"]) as client:
-            assert client.submit("after", "x")["ok"]
+        write_fleet_file(fleet["fleet_file"], fleet["workers"])
+        resp = client.submit(key, "x")
+        assert resp["ok"] and resp["node"] == "n0"
+        assert [name for name, _ in replacement.service.calls] == [key]

@@ -310,6 +310,40 @@ class TestLifecycle:
         with ServeClient(server["sock"]) as client:
             assert client.ping()["ok"]
 
+    def test_client_reset_ends_the_connection_quietly(self):
+        """A client that resets its socket with a submit in flight must
+        not leak an exception to the loop; the server keeps answering."""
+        import struct
+
+        srv = JpgServer(FakeService(delay=0.2), max_queue=8, workers=2)
+        loop_errors = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            await srv.serve_tcp("127.0.0.1", 0)
+
+        thread = threading.Thread(target=lambda: asyncio.run(main()), daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while srv.tcp_address is None:
+            assert time.monotonic() < deadline, "server did not bind"
+            time.sleep(0.01)
+        sock = socket.create_connection(srv.tcp_address, timeout=10)
+        sock.sendall(b'{"op": "submit", "id": 1, "name": "m", "xdl": "x"}\n')
+        time.sleep(0.05)  # let the submit reach the scheduler
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()      # linger 0: the close sends a reset
+        time.sleep(0.3)   # the reply to the reset client is written and fails
+        address = f"{srv.tcp_address[0]}:{srv.tcp_address[1]}"
+        with ServeClient(address) as client:
+            resp = client.submit("next", "x")
+            client.shutdown()
+        thread.join(timeout=10)
+        assert resp["ok"] and decode_partial(resp) == b"data:next"
+        assert loop_errors == []
+
     def test_sigterm_drains_inflight_before_stopping(self, tmp_path):
         """SIGTERM answers in-flight requests, then stops (no lost work)."""
         import os

@@ -17,9 +17,9 @@ Four workload axes, selectable with ``--workload``:
   across repeats *and* across engines (seeded determinism — checked
   unconditionally, like byte identity).
 * ``cluster`` — the serve/cluster axis (:mod:`repro.cluster.loadgen`):
-  replay a zipf-skewed synthetic stream against a spawned single-node
-  fleet and a 3-node fleet behind the consistent-hash router, cold and
-  warm passes each, recording throughput, p50/p95/p99 latency, and
+  replay a zipf-skewed synthetic stream against a spawned single node
+  and a 3-node fleet (clients route by consistent hash through
+  :class:`~repro.cluster.peers.FleetClient`), cold and warm passes each, recording throughput, p50/p95/p99 latency, and
   per-tier hit ratios — plus an unconditional byte-identity check of
   served bytes against direct generation.
 
