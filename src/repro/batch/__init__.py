@@ -7,8 +7,8 @@ one planned batch:
 
 * :class:`~repro.batch.engine.BatchJpg` — the planner/executor: parses
   the base bitstream once, predicts shared work per region
-  (:class:`~repro.batch.engine.BatchPlan`), and fans the per-module
-  replay/emit pipelines out over a thread pool, returning a
+  (:class:`~repro.batch.engine.BatchPlan`), and runs the per-module
+  replay/emit pipelines inline or on a warm worker pool, returning a
   :class:`~repro.batch.engine.BatchReport` with per-module timing/size
   rows and aggregated :mod:`repro.obs` metrics;
 * :class:`~repro.batch.cache.FrameCache` — a content-keyed cache of

@@ -13,8 +13,9 @@ to a different :func:`fingerprint`, so every entry derived from the old
 base simply stops matching (``invalidate()`` also exists for explicit
 eviction).  Entries are computed *single-flight* — concurrent workers
 asking for the same key block on one computation instead of duplicating
-it — which keeps hit/miss accounting deterministic under the batch
-engine's thread pool.
+it — which keeps hit/miss accounting deterministic when the serve
+scheduler's threads generate concurrently.  The cache lives in one
+process: each warm-pool worker keeps its own.
 
 Hits and misses are counted both on the cache (:attr:`FrameCache.stats`)
 and on the context's metrics registry (``framecache.hit`` /
@@ -23,11 +24,9 @@ and on the context's metrics registry (``framecache.hit`` /
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import threading
 from collections.abc import Callable
-from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 from ..bitstream.frames import FrameMemory
@@ -148,72 +147,12 @@ class FrameCache:
         metrics = current_metrics()
         with entry.lock:
             if entry.value is None:
-                # spill layer first: another process (or a previous run of
-                # this one) may already have computed this state.  The
-                # cross-process lock covers only the fetch and the store —
-                # never the compute.  Holding it across factory() (as an
-                # earlier version did) stalls every other process behind
-                # one slow clear; instead a racing process may duplicate
-                # the compute, and the store re-verifies under the lock so
-                # whichever entry landed first wins.  Content keying makes
-                # the duplicates byte-identical, so either answer is right.
-                with self._compute_lock(base_key, region):
-                    value = self._fetch(base_key, region)
-                if value is None:
-                    value = factory()
-                    with self._compute_lock(base_key, region):
-                        stored = self._fetch(base_key, region)
-                        if stored is None:
-                            self._store(base_key, region, value)
-                        else:
-                            value = stored  # lost the race: converge on theirs
-                    with self._lock:
-                        self._misses += 1
-                    metrics.count("framecache.miss")
-                    self._computed(base_key, region, value)
-                else:
-                    with self._lock:
-                        self._hits += 1
-                    metrics.count("framecache.hit")
-                entry.value = value
+                entry.value = factory()
+                with self._lock:
+                    self._misses += 1
+                metrics.count("framecache.miss")
             else:
                 with self._lock:
                     self._hits += 1
                 metrics.count("framecache.hit")
             return entry.value
-
-    def put(self, base_key: str, region: RegionRect, value: ClearedState) -> bool:
-        """Seed an entry computed elsewhere (a pool worker, a warm-up job)
-        without touching hit/miss accounting.  An already-populated entry
-        is kept — content keying makes both values identical — and False
-        is returned."""
-        key = (base_key, region_key(region))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = _Entry()
-        with entry.lock:
-            if entry.value is None:
-                entry.value = value
-                return True
-            return False
-
-    # -- spill hooks (overridden by persistent subclasses) --------------------
-
-    def _fetch(self, base_key: str, region: RegionRect) -> ClearedState | None:
-        """Look a cleared state up in a backing store (None = not there).
-        The in-memory cache stores nothing beyond the process."""
-        return None
-
-    def _store(self, base_key: str, region: RegionRect, value: ClearedState) -> None:
-        """Spill a freshly computed cleared state to a backing store."""
-
-    def _compute_lock(self, base_key: str, region: RegionRect) -> AbstractContextManager:
-        """Serialize fetch/store for one key across *processes* (held only
-        around those, never around the compute itself).  In-memory caching
-        needs no cross-process lock."""
-        return contextlib.nullcontext()
-
-    def _computed(self, base_key: str, region: RegionRect, value: ClearedState) -> None:
-        """Hook: ``value`` was just computed (not fetched) here.  Pool
-        workers override this to ship fresh states back to the parent."""

@@ -61,10 +61,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNAVAILABLE = 3
 
-#: Backends with a sizable worker pool (--pool-size targets).
-_POOLED_BACKENDS = ("thread", "warm")
-
-
 def _load_bitfile(path: str) -> BitFile:
     """Load a .bit argument; corrupt files are usage errors (exit 2).
 
@@ -85,31 +81,6 @@ def _parse_region(text: str, what: str) -> RegionRect:
         return RegionRect.from_ucf(text)
     except ReproError as exc:
         raise UsageError(f"{what} {text!r}: {exc}") from None
-
-
-def _resolve_backend(args):
-    """Turn the backend flags into a ``BatchJpg``/service backend argument.
-
-    ``--pool-size N`` pins the pool's worker count, taking precedence
-    over ``JPG_WORKERS`` and the CPU-count default (it constructs the
-    backend instance explicitly, so the sizing policy in
-    ``default_workers`` never runs).
-    """
-    backend = args.backend
-    pool_size = getattr(args, "pool_size", None)
-    if pool_size is None:
-        return backend
-    if pool_size < 1:
-        raise UsageError(f"--pool-size must be >= 1, got {pool_size}")
-    if backend not in _POOLED_BACKENDS:
-        raise UsageError(
-            f"--pool-size needs a pooled backend ({', '.join(_POOLED_BACKENDS)}), "
-            f"not {backend!r}"
-        )
-    from ..exec import ThreadBackend, WarmPoolBackend
-
-    cls = {"thread": ThreadBackend, "warm": WarmPoolBackend}[backend]
-    return cls(pool_size)
 
 
 def _cmd_info(args) -> int:
@@ -217,7 +188,7 @@ def _cmd_batch(args) -> int:
         items.append(BatchItem(name, xdl, region=region, ucf=ucf, options=options))
 
     engine = BatchJpg(args.part, base, base_design=base_design,
-                      max_workers=args.jobs, backend=_resolve_backend(args))
+                      max_workers=args.jobs, backend=args.backend)
     plan = engine.plan(items)
     print(
         f"batch: {plan.total} module(s) in {len(plan.groups)} region group(s), "
@@ -504,6 +475,12 @@ def _cmd_serve(args) -> int:
 
         peers = FleetClient(Membership(path=args.peers_file), timeout=5.0)
         peer_fetch = functools.partial(peers.fetch, skip=args.node_id)
+    backend = args.backend
+    if backend == "warm":
+        from ..exec import WarmPoolBackend
+
+        # --workers sizes the pool as well as the scheduler
+        backend = WarmPoolBackend(args.workers)
     service = GenerationService(
         args.part,
         base,
@@ -514,7 +491,7 @@ def _cmd_serve(args) -> int:
         lint=args.lint,
         sanctioned=([_parse_region(s, "--sanction") for s in args.sanction]
                     if args.sanction else None),
-        backend=_resolve_backend(args),
+        backend=backend,
         peer_fetch=peer_fetch,
     )
     server = JpgServer(service, max_queue=args.max_queue, workers=args.workers)
@@ -790,16 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(paths relative to the manifest file)")
     p.add_argument("-o", "--output-dir", help="save each partial as NAME.bit here")
     p.add_argument("-j", "--jobs", type=int,
-                   help="pool workers (default: auto — JPG_WORKERS, then CPU count)")
-    p.add_argument("--backend", choices=["serial", "thread", "warm"],
-                   default="thread",
-                   help="execution backend: serial (inline), thread (GIL-bound "
-                        "pool, default), warm (persistent worker-process pool; "
-                        "base shared zero-copy via shared memory, replies "
-                        "through a shared output arena)")
-    p.add_argument("--pool-size", type=int, metavar="N",
-                   help="worker count for pooled backends (overrides "
-                        "JPG_WORKERS and the CPU-count default)")
+                   help="warm-pool workers (default: auto — JPG_WORKERS, "
+                        "then CPU count)")
+    p.add_argument("--backend", choices=["serial", "warm"], default="serial",
+                   help="execution backend: serial (inline, default) or warm "
+                        "(a pool of worker processes over the base)")
     p.add_argument("--granularity", choices=["column", "frame"], default="column")
     p.add_argument("--no-checks", action="store_true", help="skip region containment checks")
     p.add_argument("--metrics", action="store_true",
@@ -913,24 +885,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdio", action="store_true",
                    help="serve one client over stdin/stdout instead of a socket")
     p.add_argument("--cache-dir",
-                   help="persistent cache directory (cleared states + partials "
+                   help="persistent cache directory (finished partials "
                         "survive restarts; omit for in-memory only)")
     p.add_argument("--max-cache-bytes", type=int,
                    help="LRU-evict the disk cache past this size")
     p.add_argument("--max-queue", type=int, default=32,
                    help="pending-request bound before rejecting (default 32)")
     p.add_argument("--workers", type=int,
-                   help="concurrent generations (default: auto — JPG_WORKERS, "
-                        "then CPU count)")
-    p.add_argument("--backend", choices=["serial", "thread", "warm"],
-                   default="thread",
-                   help="execution backend for generations (warm = a "
-                        "worker-process pool over a shared-memory base, kept "
-                        "hot across requests, replies through a shared output "
-                        "arena)")
-    p.add_argument("--pool-size", type=int, metavar="N",
-                   help="worker count for pooled backends (overrides "
-                        "JPG_WORKERS and the CPU-count default)")
+                   help="concurrent generations, and the warm pool's size "
+                        "(default: auto — JPG_WORKERS, then CPU count)")
+    p.add_argument("--backend", choices=["serial", "warm"], default="serial",
+                   help="execution backend for generations: serial (inline on "
+                        "the scheduler's threads, default) or warm (a "
+                        "worker-process pool kept hot across requests)")
     p.add_argument("--deploy-sim", action="store_true",
                    help="deploy each served partial onto a simulated board")
     p.add_argument("--lint", action="store_true",

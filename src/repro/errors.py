@@ -108,7 +108,7 @@ class UsageError(ReproError):
 
 
 class ExecError(ReproError):
-    """Execution-backend failure (pool setup, shared memory, dead worker).
+    """Execution-backend failure (pool setup, dead worker).
 
     Raised when the backend itself breaks — e.g. a worker process dies
     mid-batch — as opposed to a per-item generation error, which lands on

@@ -1,15 +1,14 @@
 """Execution backends for batch partial-bitstream generation.
 
 Public surface of the backend subsystem (see :mod:`repro.exec.backend`
-for the strategy classes, :mod:`repro.exec.pool` for the warm worker
-pool and :mod:`repro.exec.shm` for the zero-copy frame transport it
-rides on)::
+for the strategy classes and :mod:`repro.exec.pool` for the warm worker
+pool)::
 
     from repro.exec import default_workers, get_backend
 
     engine = BatchJpg("XCV100", base, backend="warm")
     report = engine.run(items)      # byte-identical to backend="serial"
-    engine.close()                  # returns the pool + shared memory
+    engine.close()                  # stops the pool's workers
 """
 
 from ..errors import ExecError
@@ -18,37 +17,21 @@ from .backend import (
     MAX_DEFAULT_WORKERS,
     Backend,
     SerialBackend,
-    ThreadBackend,
     default_workers,
     get_backend,
     in_worker_process,
     mark_worker_process,
 )
 from .pool import WarmPool, WarmPoolBackend
-from .shm import (
-    ArenaSpec,
-    FrameDelta,
-    OutputArena,
-    SharedFrames,
-    ShmSpec,
-    attach_frames,
-)
 
 __all__ = [
-    "ArenaSpec",
     "BACKEND_NAMES",
     "MAX_DEFAULT_WORKERS",
     "Backend",
     "ExecError",
-    "FrameDelta",
-    "OutputArena",
     "SerialBackend",
-    "SharedFrames",
-    "ShmSpec",
-    "ThreadBackend",
     "WarmPool",
     "WarmPoolBackend",
-    "attach_frames",
     "default_workers",
     "get_backend",
     "in_worker_process",

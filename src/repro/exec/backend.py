@@ -2,25 +2,21 @@
 
 The batch engine used to be welded to one strategy (a thread pool).  This
 module factors the strategy out into a small :class:`Backend` interface
-with three implementations:
+with two implementations:
 
-* :class:`SerialBackend` — items run inline on the calling thread.  The
-  reference semantics; every other backend must match its output
-  byte-for-byte.
-* :class:`ThreadBackend` — a per-run ``ThreadPoolExecutor``.  Cheap to
-  start and shares the in-process frame cache directly, but generation is
-  CPU-bound numpy-plus-Python work, so the GIL caps the speedup.
+* :class:`SerialBackend` — items run inline on the calling thread (the
+  default).  The reference semantics; the other backend must match its
+  output byte-for-byte.  Callers that want concurrency inside one process
+  (the serve scheduler) call ``run_one`` from their own threads.
 * ``"warm"`` — :class:`~repro.exec.pool.WarmPoolBackend`, the process
   backend: a persistent :class:`~repro.exec.pool.WarmPool` of forked
-  workers that attach the base frames zero-copy from shared memory
-  (:mod:`repro.exec.shm`) and write results into a preallocated shared
-  output arena; cleared-region states come home as dirty-frame deltas
-  that re-seed the parent's cache.  Registered here by name but defined
-  in :mod:`repro.exec.pool`.
+  workers, each holding a read-only copy of the base frames and its own
+  frame cache, answering over its control pipe.  Registered here by name
+  but defined in :mod:`repro.exec.pool`.
 
 Backends are engine-agnostic objects: ``run(engine, items)`` executes a
 manifest for one :class:`~repro.batch.engine.BatchJpg` and returns results
-in manifest order.  A backend failure (dead worker, lost shared memory)
+in manifest order.  A backend failure (a worker that keeps dying)
 raises :class:`~repro.errors.ExecError` and aborts the run — per-item
 generation errors, by contrast, land on the item's result exactly as in
 the serial path, so a batch never silently loses items.
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from ..errors import ExecError
@@ -124,7 +119,7 @@ class Backend(ABC):
         return None
 
     def close(self) -> None:
-        """Release pools / shared memory.  Idempotent."""
+        """Release worker pools.  Idempotent."""
 
 
 class SerialBackend(Backend):
@@ -135,25 +130,6 @@ class SerialBackend(Backend):
     def run(self, engine, items, workers=None):
         """Generate every item inline on the calling thread, in order."""
         return [engine.generate_one(item) for item in items]
-
-
-class ThreadBackend(Backend):
-    """A per-run thread pool (the engine's historical behavior)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = workers
-
-    def run(self, engine, items, workers=None):
-        """Fan items out over a fresh thread pool sized by the usual
-        worker policy; results come back in manifest order."""
-        if not items:
-            return []
-        n = workers or self.workers or default_workers(limit=len(items))
-        engine.metrics.gauge("exec.pool_workers", n)
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(engine.generate_one, items))
 
 
 def _warm_backend():
@@ -167,7 +143,6 @@ def _warm_backend():
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "warm": _warm_backend,
 }
 

@@ -1,37 +1,33 @@
-"""The warm worker pool: persistent forked workers behind a shared arena.
+"""The warm worker pool: persistent forked workers over one base.
 
 BENCH_5 measured the honest problem with a per-batch process pool: on
-small batches the fork/attach cost of a fresh ``ProcessPoolExecutor``
-dominates and parallelism is a net loss.  The warm pool closes that gap
-by making every per-batch cost a per-*pool* cost:
+small batches the fork cost of a fresh ``ProcessPoolExecutor`` dominates
+and parallelism is a net loss.  The warm pool closes that gap by making
+every per-batch cost a per-*pool* cost:
 
-* workers are forked **once** and reused across batches (and across serve
-  requests — the scheduler and the batch engine share one pool);
-* the shared-memory base frames are published and attached **once**, at
-  spawn;
-* replies come home through a preallocated :class:`~repro.exec.shm.
-  OutputArena` — each worker owns one fixed slot and sends only a byte
-  count over its control pipe — instead of being pickled through pipe
-  buffers per task.
+* workers are forked **once** and reused across batches and across serve
+  requests;
+* the base frames travel **once**, in each worker's ``Process``
+  arguments (free under ``fork``, one pickle per worker under
+  ``spawn``);
+* each task and its reply are one message each way over the worker's
+  control pipe.
 
-:class:`WarmPool` owns the full lifecycle: spawn, health-check
-(:meth:`WarmPool.ping`, :meth:`WarmPool.ensure`), recycle-on-crash (a
-dead worker is respawned in place and the task retried exactly once
-before :class:`~repro.errors.ExecError`), drain, and shutdown.
-:class:`WarmPoolBackend` adapts the pool to the :class:`~repro.exec.
-backend.Backend` interface so ``backend="warm"`` plugs into ``BatchJpg``
-and the serve scheduler unchanged.
+:class:`WarmPool` owns the lifecycle: spawn, recycle-on-crash (a dead
+worker is respawned in place and the task retried exactly once before
+:class:`~repro.errors.ExecError`), and shutdown.  :class:`WarmPoolBackend`
+adapts the pool to the :class:`~repro.exec.backend.Backend` interface so
+``backend="warm"`` plugs into ``BatchJpg`` and the serve scheduler
+unchanged.
 
-Observability: the pool reports ``exec.pool.*`` metrics through the bound
-engine's registry — gauges ``workers_alive`` and ``arena_bytes``,
-counters ``tasks``, ``recycles``, ``retries``, and ``arena_spills`` (see
-docs/API.md's metrics catalog).
+Observability: the backend reports ``exec.pool.*`` metrics through the
+bound engine's registry — gauge ``workers_alive``, counters ``tasks``,
+``recycles`` and ``retries`` (see docs/API.md's metrics catalog).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -40,25 +36,20 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import ExecError
 from .backend import Backend, default_workers
-from .shm import OutputArena, SharedFrames
 
 if TYPE_CHECKING:
-    from ..batch.cache import CacheStats
-    from ..batch.engine import BatchItem, BatchJpg
+    from ..batch.engine import BatchItem, BatchItemResult, BatchJpg
 
 #: How long (seconds) a clean shutdown waits for a worker before killing it.
 _JOIN_TIMEOUT = 5.0
-
-#: How long (seconds) :meth:`WarmPool.ping` waits for each pong.
-_PING_TIMEOUT = 5.0
 
 
 @dataclass
 class _Seat:
     """One worker slot: the live process plus the parent end of its pipe.
 
-    The seat index is stable for the pool's lifetime — it names the
-    worker's arena slot — while the process occupying it may be recycled.
+    The seat index is stable for the pool's lifetime while the process
+    occupying it may be recycled.
     """
 
     idx: int
@@ -66,38 +57,8 @@ class _Seat:
     conn: Any
 
 
-def _ingest_reply(engine: "BatchJpg", raw) -> tuple:
-    """Fold one worker reply into the parent engine.
-
-    Merges the worker's metrics snapshot, re-seeds the parent's frame
-    cache from the reply's cleared-state deltas, and returns
-    ``(result, cache_hits, cache_misses)`` — the caller accumulates the
-    counters into the pool.
-    """
-    result, snapshot, cleared = raw
-    counters = snapshot.get("counters", {})
-    hits = counters.get("framecache.hit", 0)
-    misses = counters.get("framecache.miss", 0)
-    engine.metrics.merge(snapshot)
-    for base_key, region, dirty, delta in cleared:
-        state = (delta.apply(engine.base_frames), frozenset(dirty))
-        engine.cache.put(base_key, region, state)
-    return result, hits, misses
-
-
-def _cache_spec(engine: "BatchJpg"):
-    """A picklable recipe for the worker-side cache: disk-backed workers
-    rebuild the engine's persistent cache (sharing entries through the
-    filesystem); everyone else gets a private in-memory cache whose
-    computes come home as deltas."""
-    disk = getattr(engine.cache, "disk", None)
-    if disk is not None:
-        return ("disk", disk.root, disk.max_bytes)
-    return None
-
-
 class WarmPool:
-    """A persistent pool of forked workers over one shared base.
+    """A persistent pool of forked workers over one base.
 
     Construct once, bind lazily to the first engine that runs on it, and
     keep it hot: ``BatchJpg`` batches and serve-scheduler requests both
@@ -107,19 +68,14 @@ class WarmPool:
 
     ``workers`` defaults to the :func:`~repro.exec.backend.
     default_workers` policy (``JPG_WORKERS`` wins, then CPU count capped
-    at 8).  ``slot_bytes`` sizes each worker's arena slot; oversized
-    replies fall back to inline pipe transport rather than failing.
+    at 8).
     """
 
-    def __init__(self, workers: int | None = None, *,
-                 slot_bytes: int = OutputArena.DEFAULT_SLOT_BYTES):
+    def __init__(self, workers: int | None = None):
         self.workers = workers
-        self.slot_bytes = slot_bytes
         self._seats: list[_Seat] = []
         self._idle: queue.Queue[int] = queue.Queue()
         self._lock = threading.Lock()
-        self._shared: SharedFrames | None = None
-        self._arena: OutputArena | None = None
         self._engine: BatchJpg | None = None
         self._initargs: tuple | None = None
         self._ctx = None
@@ -128,9 +84,6 @@ class WarmPool:
         self.tasks = 0
         self.recycles = 0
         self.retries = 0
-        self.arena_spills = 0
-        self._worker_hits = 0
-        self._worker_misses = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -140,16 +93,11 @@ class WarmPool:
             return len(self._seats)
         return self.workers or default_workers()
 
-    @property
-    def bound(self) -> bool:
-        """True once the pool has spawned against an engine's base."""
-        return self._engine is not None
-
     def bind(self, engine: "BatchJpg", workers: int | None = None) -> None:
-        """Publish ``engine``'s base, allocate the arena, spawn workers.
+        """Spawn the workers over ``engine``'s base.
 
         Idempotent for the same engine; binding a second engine raises
-        (one pool serves one shared base).  Called lazily by
+        (one pool serves one base).  Called lazily by
         :class:`WarmPoolBackend` on first use.
         """
         with self._lock:
@@ -157,33 +105,24 @@ class WarmPool:
                 if engine is not self._engine:
                     raise ExecError(
                         "warm pool is already bound to another engine; "
-                        "use one WarmPool per shared base"
+                        "use one WarmPool per base"
                     )
                 return
             if self._closed:
                 raise ExecError("warm pool is closed")
             # fork is far cheaper where it exists (no re-import, parsed
-            # device models inherited); fall back to the platform default
+            # device models and the base array inherited); fall back to
+            # the platform default
             method = ("fork" if "fork" in
                       multiprocessing.get_all_start_methods() else None)
             self._ctx = multiprocessing.get_context(method)
             n = workers or self.workers or default_workers()
-            shared = SharedFrames.publish(engine.base_frames)
-            try:
-                arena = OutputArena.create(n, self.slot_bytes)
-            except BaseException:
-                shared.unlink()
-                raise
-            self._shared = shared
-            self._arena = arena
             self._engine = engine
             self._initargs = (
                 engine.part,
-                shared.spec,
+                engine.base_frames.data,
                 engine.base_design,
                 engine.full_size,
-                _cache_spec(engine),
-                arena.spec,
             )
             try:
                 for idx in range(n):
@@ -193,8 +132,6 @@ class WarmPool:
                 self._shutdown_locked()
                 raise
             engine.metrics.gauge("exec.pool.workers_alive", n)
-            engine.metrics.gauge("exec.pool.arena_bytes", arena.nbytes)
-            engine.metrics.gauge("exec.shm_bytes", shared.nbytes)
 
     def _spawn(self, idx: int) -> _Seat:
         """Start the worker for seat ``idx`` (caller holds the lock or is
@@ -204,7 +141,7 @@ class WarmPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=warm_worker_main,
-            args=(idx, child_conn) + self._initargs,
+            args=(child_conn,) + self._initargs,
             daemon=True,
             name=f"jpg-warm-{idx}",
         )
@@ -225,42 +162,9 @@ class WarmPool:
             self._seats[idx] = self._spawn(idx)
             self.recycles += 1
 
-    def ping(self) -> dict[int, int]:
-        """Health-check every worker: seat index -> pid for each worker
-        that answers within the timeout.  Missing seats are dead (see
-        :meth:`ensure`).  Only call when no tasks are in flight."""
-        alive: dict[int, int] = {}
-        for seat in self._seats:
-            try:
-                seat.conn.send(("ping", None))
-                if seat.conn.poll(_PING_TIMEOUT):
-                    kind, pid = seat.conn.recv()
-                    if kind == "pong":
-                        alive[seat.idx] = pid
-            except (EOFError, OSError, BrokenPipeError):
-                continue
-        return alive
-
-    def ensure(self) -> int:
-        """Respawn any dead workers; the number recycled.  The serve path
-        calls this between requests so a crashed worker never surfaces as
-        request latency."""
-        recycled = 0
-        for seat in list(self._seats):
-            if not seat.process.is_alive():
-                self._recycle(seat.idx)
-                recycled += 1
-        return recycled
-
-    def drain(self) -> None:
-        """Block until every in-flight task has finished (all seats idle)."""
-        held = [self._idle.get() for _ in range(len(self._seats))]
-        for idx in held:
-            self._idle.put(idx)
-
     def close(self) -> None:
-        """Stop every worker, release the arena and shared base.  Waits for
-        clean exits, escalates to ``terminate`` after a timeout.  Idempotent."""
+        """Stop every worker.  Waits for clean exits, escalates to
+        ``terminate`` after a timeout.  Idempotent."""
         with self._lock:
             self._shutdown_locked()
 
@@ -280,25 +184,22 @@ class WarmPool:
             seat.conn.close()
         self._seats = []
         self._idle = queue.Queue()
-        if self._arena is not None:
-            self._arena.unlink()
-            self._arena = None
-        if self._shared is not None:
-            self._shared.unlink()
-            self._shared = None
         self._engine = None
+        self._initargs = None
         self._closed = True
 
     # -- dispatch -------------------------------------------------------------
 
-    def run_task(self, item: "BatchItem"):
-        """Dispatch one item to an idle worker and return its raw reply.
+    def run_task(self, item: "BatchItem") -> tuple["BatchItemResult", dict]:
+        """Dispatch one item to an idle worker; its (result, metrics
+        snapshot) reply.
 
         Checks a seat out of the idle queue (blocking if every worker is
-        busy), sends the task, and reads the reply out of the worker's
-        arena slot.  A worker that dies mid-task is recycled in place and
-        the item retried exactly once; a second death raises
-        :class:`ExecError` — a batch never silently loses items.
+        busy), sends the task and waits for the reply on the same pipe.
+        A worker that is dead when the task arrives, or dies mid-task, is
+        recycled in place and the item retried exactly once; a second
+        death raises :class:`ExecError` — a batch never silently loses
+        items.
         """
         if self._engine is None:
             raise ExecError("warm pool used before bind()")
@@ -323,45 +224,28 @@ class WarmPool:
                     raise ExecError(
                         f"warm-pool worker failed on {item.name!r}:\n{payload}"
                     )
-                if kind == "arena":
-                    return pickle.loads(self._arena.read(idx, payload))
-                # oversized reply spilled to inline pipe transport
-                self.arena_spills += 1
-                return pickle.loads(payload)
+                return payload
         finally:
             self._idle.put(idx)
 
-    def record_ingest(self, hits: int, misses: int) -> None:
-        """Accumulate one reply's frame-cache counters (backend callback)."""
-        self._worker_hits += hits
-        self._worker_misses += misses
-
-    def cache_stats(self) -> "CacheStats":
-        """Frame-cache hits/misses as the pool's workers saw them."""
-        from ..batch.cache import CacheStats
-
-        return CacheStats(self._worker_hits, self._worker_misses)
-
 
 class WarmPoolBackend(Backend):
-    """``backend="warm"`` — the :class:`WarmPool` behind the standard
+    """``backend="warm"`` — a private :class:`WarmPool` behind the standard
     :class:`~repro.exec.backend.Backend` interface.
 
-    Construct with a shared :class:`WarmPool` to keep one hot pool across
-    the batch engine and the serve scheduler, or let it build a private
-    pool.  Binding follows :meth:`WarmPool.bind`: the first engine that
-    runs wins, and ``close()`` shuts the pool down (call it from
+    Binding follows :meth:`WarmPool.bind`: the first engine that runs
+    wins, and ``close()`` shuts the pool down (call it from
     ``engine.close()`` as usual).
     """
 
     name = "warm"
 
-    def __init__(self, workers: int | None = None, *,
-                 pool: WarmPool | None = None,
-                 slot_bytes: int = OutputArena.DEFAULT_SLOT_BYTES):
-        self.pool = pool if pool is not None else WarmPool(
-            workers, slot_bytes=slot_bytes
-        )
+    def __init__(self, workers: int | None = None):
+        self.pool = WarmPool(workers)
+        self._lock = threading.Lock()
+        # frame-cache lookups as the workers reported them
+        self._hits = 0
+        self._misses = 0
         # counter totals already pushed into the engine's registry, so
         # repeated runs report deltas rather than running totals
         self._reported: dict[str, int] = {}
@@ -395,9 +279,15 @@ class WarmPoolBackend(Backend):
         self._gauge(engine)
         return result
 
-    def _ingest(self, engine, raw):
-        result, hits, misses = _ingest_reply(engine, raw)
-        self.pool.record_ingest(hits, misses)
+    def _ingest(self, engine, reply):
+        """Fold one worker reply into the parent: merge its metrics
+        snapshot and count its frame-cache lookups."""
+        result, snapshot = reply
+        counters = snapshot.get("counters", {})
+        engine.metrics.merge(snapshot)
+        with self._lock:
+            self._hits += counters.get("framecache.hit", 0)
+            self._misses += counters.get("framecache.miss", 0)
         return result
 
     def _gauge(self, engine) -> None:
@@ -406,19 +296,22 @@ class WarmPoolBackend(Backend):
         pool = self.pool
         alive = sum(1 for s in pool._seats if s.process.is_alive())
         engine.metrics.gauge("exec.pool.workers_alive", alive)
-        for name, total in (("exec.pool.tasks", pool.tasks),
-                            ("exec.pool.recycles", pool.recycles),
-                            ("exec.pool.retries", pool.retries),
-                            ("exec.pool.arena_spills", pool.arena_spills)):
-            prev = self._reported.get(name, 0)
-            if total > prev:
-                engine.metrics.count(name, total - prev)
-                self._reported[name] = total
+        with self._lock:
+            for name, total in (("exec.pool.tasks", pool.tasks),
+                                ("exec.pool.recycles", pool.recycles),
+                                ("exec.pool.retries", pool.retries)):
+                prev = self._reported.get(name, 0)
+                if total > prev:
+                    engine.metrics.count(name, total - prev)
+                    self._reported[name] = total
 
     def cache_stats(self, engine):
         """Hits/misses as the pool's workers saw them."""
-        return self.pool.cache_stats()
+        from ..batch.cache import CacheStats
+
+        with self._lock:
+            return CacheStats(self._hits, self._misses)
 
     def close(self) -> None:
-        """Shut the pool down (workers, arena, shared base).  Idempotent."""
+        """Shut the pool down.  Idempotent."""
         self.pool.close()

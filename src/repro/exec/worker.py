@@ -1,24 +1,24 @@
 """What runs inside a warm-pool worker process.
 
-One worker = one long-lived :class:`~repro.batch.engine.BatchJpg` built in
-:func:`worker_init` over the parent's shared-memory base (attached
-zero-copy, never cloned) and reused for every task the worker receives.
-:func:`warm_worker_main` serves a request/reply loop over a pipe; each
-task generates one item and ships home a small pickle of
+One worker = one long-lived :class:`~repro.batch.engine.BatchJpg` built
+once over the parent's base frames and reused for every task the worker
+receives.  The base arrives as ``(part, frames.data)`` in the
+``Process`` arguments — under ``fork`` nothing is copied, under ``spawn``
+the array pickles once per worker — and is marked read-only before the
+engine sees it, so a stray write raises instead of corrupting every
+later task.  Each worker keeps its own in-memory
+:class:`~repro.batch.cache.FrameCache`: it pays one clear per region it
+sees, which is what the paper's clear-and-replay costs anyway.
+
+:func:`warm_worker_main` serves a request/reply loop over its control
+pipe; each task generates one item and sends home
 
 * the :class:`~repro.batch.engine.BatchItemResult` itself (the partial's
-  bytes are the product; they are already small),
+  bytes are the product; they are already small), and
 * a metrics snapshot of this task's counters/timers, merged into the
-  parent registry so one report covers the whole pool, and
-* any cleared-region states this task computed, encoded as
-  :class:`~repro.exec.shm.FrameDelta` against the shared base — the
-  parent re-seeds its own cache from these, so work done in a worker
-  warms every later run.
-
-The reply is serialized into this worker's slot of a shared
-:class:`~repro.exec.shm.OutputArena` rather than pickled through the
-pipe.  With a disk-backed cache, workers share cleared states through
-the filesystem instead and the delta list stays empty.
+  parent registry so one report covers the whole pool (the
+  ``framecache.hit``/``framecache.miss`` counters in it are how the
+  parent accounts for its workers' caches).
 
 The entry point is module-level so it pickles by reference under the
 ``spawn`` start method.  ``JPG_EXEC_CRASH=<item name>`` (or ``*``) makes
@@ -32,77 +32,19 @@ hook the warm pool's recycle-and-retry tests use.
 from __future__ import annotations
 
 import os
+import traceback
 from typing import TYPE_CHECKING
 
-from ..batch.cache import ClearedState, FrameCache
-from ..errors import ExecError
+import numpy as np
+
+from ..bitstream.frames import FrameMemory
+from ..devices import get_device
 from ..obs import Metrics
 from .backend import mark_worker_process
-from .shm import FrameDelta, ShmSpec, attach_frames
 
 if TYPE_CHECKING:
-    from ..batch.engine import BatchItem, BatchItemResult
-    from ..flow.floorplan import RegionRect
+    from ..batch.engine import BatchItem, BatchItemResult, BatchJpg
     from ..flow.ncd import NcdDesign
-
-#: One cleared state on the wire: (base key, region, dirty frames, delta).
-ClearedRecord = tuple[str, "RegionRect", tuple[int, ...], FrameDelta]
-
-#: Worker-global state set once by :func:`worker_init`.
-_STATE: dict | None = None
-
-
-class _RecordingCache(FrameCache):
-    """An in-memory frame cache that remembers what it computed, as deltas
-    against the shared base, so tasks can send those states home."""
-
-    def __init__(self, base) -> None:
-        super().__init__()
-        self._base = base
-        self._records: list[ClearedRecord] = []
-
-    def _computed(self, base_key: str, region, value: ClearedState) -> None:
-        frames, dirty = value
-        self._records.append(
-            (base_key, region, tuple(sorted(dirty)), FrameDelta.between(self._base, frames))
-        )
-
-    def drain(self) -> list[ClearedRecord]:
-        records, self._records = self._records, []
-        return records
-
-
-def worker_init(
-    part: str,
-    spec: ShmSpec,
-    base_design: "NcdDesign | None",
-    full_size: int,
-    cache_spec: tuple | None,
-) -> None:
-    """Attach the shared base and build this worker's engine.  Runs once
-    per worker process."""
-    global _STATE
-    mark_worker_process()
-    frames, shm = attach_frames(spec)
-    if cache_spec is not None and cache_spec[0] == "disk":
-        from ..serve.diskcache import DiskCache, PersistentFrameCache
-
-        cache: FrameCache = PersistentFrameCache(
-            DiskCache(cache_spec[1], max_bytes=cache_spec[2])
-        )
-    else:
-        cache = _RecordingCache(frames)
-    from ..batch.engine import BatchJpg
-
-    engine = BatchJpg(
-        part,
-        frames,                  # zero-copy: full_size set, so no reparse/clone
-        base_design,
-        cache=cache,
-        backend="serial",        # a worker never nests a pool
-        full_size=full_size,
-    )
-    _STATE = {"engine": engine, "shm": shm, "cache": cache}
 
 
 def _maybe_crash(item: "BatchItem") -> None:
@@ -127,60 +69,49 @@ def _maybe_crash(item: "BatchItem") -> None:
             os._exit(17)
 
 
-def _run_item(item: "BatchItem") -> tuple["BatchItemResult", dict, list[ClearedRecord]]:
-    """Generate one item on this worker's engine and package the reply
-    (result, metrics snapshot, cleared-region deltas)."""
-    if _STATE is None:  # pragma: no cover - initializer cannot have failed silently
-        raise ExecError("worker used before worker_init")
+def _run_item(engine: "BatchJpg", item: "BatchItem") -> tuple["BatchItemResult", dict]:
+    """Generate one item on this worker's engine; (result, metrics snapshot)."""
     _maybe_crash(item)
-    engine = _STATE["engine"]
-    cache = _STATE["cache"]
     # fresh per-task registry: a worker runs tasks one at a time, so
     # rebinding the engine's registry cleanly scopes the snapshot
     metrics = Metrics(keep_events=False)
     engine.metrics = metrics
     with metrics.stage("exec.task", item=item.name, pid=os.getpid()):
         result = engine.generate_one(item)
-    cleared = cache.drain() if isinstance(cache, _RecordingCache) else []
-    return result, metrics.snapshot(), cleared
+    return result, metrics.snapshot()
 
 
 def warm_worker_main(
-    idx: int,
     conn,
     part: str,
-    spec: ShmSpec,
+    data: np.ndarray,
     base_design: "NcdDesign | None",
     full_size: int,
-    cache_spec: tuple | None,
-    arena_spec,
 ) -> None:
     """Entry point of one warm-pool worker process.
 
-    Performs the same one-time setup as :func:`worker_init` (attach shared
-    base, build a serial engine), attaches slot ``idx`` of the shared
-    output arena, then serves a message loop on ``conn`` until told to
-    stop:
+    Builds the worker's serial engine over the read-only base, then serves
+    a message loop on ``conn`` until told to stop:
 
-    * ``("task", item)`` — run the item; pickle the reply and write it
-      into this worker's arena slot, answering ``("arena", nbytes)``; if
-      the reply outgrows the slot, answer ``("inline", payload)`` instead
-      (the spill fallback).  Unexpected in-worker exceptions answer
-      ``("err", traceback_text)`` — the worker survives, the parent
-      raises.
-    * ``("ping", None)`` — health check; answers ``("pong", pid)``.
-    * ``("stop", None)`` — clean shutdown: close mappings and return.
+    * ``("task", item)`` — run the item and answer ``("ok", (result,
+      snapshot))``.  Unexpected in-worker exceptions answer ``("err",
+      traceback_text)`` — the worker survives, the parent raises.
+    * ``("stop", None)`` — clean shutdown.
 
     A worker that dies mid-task simply drops the pipe; the parent sees
     ``EOFError`` and recycles the seat.
     """
-    import pickle
-    import traceback
+    from ..batch.engine import BatchJpg
 
-    from .shm import OutputArena
-
-    worker_init(part, spec, base_design, full_size, cache_spec)
-    arena = OutputArena.attach(arena_spec)
+    mark_worker_process()
+    data.setflags(write=False)
+    engine = BatchJpg(
+        part,
+        FrameMemory(get_device(part), data),  # full_size set: no reparse/clone
+        base_design,
+        backend="serial",                     # a worker never nests a pool
+        full_size=full_size,
+    )
     try:
         while True:
             try:
@@ -189,24 +120,11 @@ def warm_worker_main(
                 break
             if kind == "stop":
                 break
-            if kind == "ping":
-                conn.send(("pong", os.getpid()))
-                continue
             try:
-                reply = pickle.dumps(_run_item(payload), protocol=pickle.HIGHEST_PROTOCOL)
-            except SystemExit:  # os._exit never gets here; belt and braces
-                raise
-            except BaseException:
+                reply = _run_item(engine, payload)
+            except Exception:
                 conn.send(("err", traceback.format_exc()))
                 continue
-            nbytes = arena.write(idx, reply)
-            if nbytes is None:
-                conn.send(("inline", reply))
-            else:
-                conn.send(("arena", nbytes))
+            conn.send(("ok", reply))
     finally:
-        arena.close()
         conn.close()
-        shm = _STATE["shm"] if _STATE else None
-        if shm is not None:
-            shm.close()

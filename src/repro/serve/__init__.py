@@ -5,8 +5,8 @@ once, answer many client requests, and make repeated work free three
 different ways —
 
 * :mod:`repro.serve.diskcache` — a persistent content-addressed cache of
-  cleared-region states and finished partials, shared across restarts
-  and processes (file-locked single-flight, LRU size cap);
+  finished partials, shared across restarts and processes (atomic
+  writes, LRU size cap);
 * :mod:`repro.serve.scheduler` — an asyncio scheduler with a bounded
   queue (reject-with-reason backpressure), per-region FIFO ordering,
   coalescing of identical in-flight requests, and graceful drain;
@@ -17,7 +17,7 @@ different ways —
 See ``docs/API.md`` ("Generation service") for the full contract.
 """
 
-from .diskcache import DiskCache, DiskCacheStats, PersistentFrameCache, region_tag
+from .diskcache import DiskCache, DiskCacheStats, region_tag
 from .protocol import JpgServer, ServeClient, decode_partial, parse_address
 from .scheduler import Scheduler
 from .service import GenerationService, GenRequest, ServeResult
@@ -28,7 +28,6 @@ __all__ = [
     "GenRequest",
     "GenerationService",
     "JpgServer",
-    "PersistentFrameCache",
     "Scheduler",
     "ServeClient",
     "ServeResult",

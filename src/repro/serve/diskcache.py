@@ -1,32 +1,24 @@
-"""Persistent content-addressed cache: warm starts across processes.
+"""Persistent content-addressed cache of finished partials.
 
-The in-memory :class:`~repro.batch.cache.FrameCache` dies with its
-process, so a restarted service pays every region clear again even though
-nothing changed.  This module spills both kinds of shareable state to
-disk, keyed entirely by content:
-
-* **cleared-region states** under ``<root>/cleared/``, keyed by
-  ``(base fingerprint, region footprint)`` — one ``.npz`` holding the
-  frame array, the dirty-frame set, and the device name;
-* **finished partial bitstreams** under ``<root>/partials/``, keyed by
-  ``(base fingerprint, region footprint, module digest)`` — the raw
-  configuration bytes, byte-identical to a fresh generation.
+The in-memory caches die with their process, so a restarted service
+would regenerate every partial it had already served even though nothing
+changed.  This module keeps **finished partial bitstreams** on disk under
+``<root>/partials/``, keyed by ``(base fingerprint, region footprint,
+module digest)`` — the raw configuration bytes, byte-identical to a fresh
+generation.  (Cleared-region states are not kept here: recomputing a
+clear costs about as much as loading one, so each process keeps them in
+its in-memory :class:`~repro.batch.cache.FrameCache`.  A ``cleared/``
+directory left by an older version is ignored and can be deleted.)
 
 Content keying makes entries immutable: a key either names exactly one
 value or nothing, so a second process (or a process restarted after a
 kill) can trust whatever it finds.  Writes are atomic (temp file +
-``os.replace``) so a crash mid-store leaves no torn entry, and unreadable
-entries are treated as misses and deleted.
+``os.replace``) so a crash mid-store leaves no torn entry.
 
-Cross-process coordination uses ``fcntl`` file locks under
-``<root>/locks/``: :meth:`DiskCache.lock` serializes the *fetch* and the
-*store* of one key — never the compute in between, so one process's slow
-clear cannot stall every other process on the same key.  Two racers may
-duplicate a compute, but stores re-verify under the lock and the first
-entry wins; content keying makes the duplicates byte-identical, so the
-outcome is one entry either way.  Total size is LRU-capped: loads
-refresh an entry's mtime and
-stores evict the stalest entries once ``max_bytes`` is exceeded.
+Total size is LRU-capped: loads refresh an entry's mtime and stores
+evict the stalest entries once ``max_bytes`` is exceeded.  Eviction is
+serialized across processes by an ``fcntl`` file lock under
+``<root>/locks/`` (:meth:`DiskCache.lock`).
 
 Disk traffic is observable as ``serve.disk_hit`` / ``serve.disk_miss`` /
 ``serve.disk_store`` / ``serve.disk_evict`` counters on the context's
@@ -42,16 +34,11 @@ import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
-import numpy as np
-
 try:  # pragma: no cover - fcntl exists on every POSIX platform we target
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
-from ..batch.cache import ClearedState, FrameCache
-from ..bitstream.frames import FrameMemory
-from ..devices import get_device
 from ..errors import ServeError
 from ..flow.floorplan import RegionRect
 from ..obs import current_metrics
@@ -101,14 +88,14 @@ class _FileLock:
 
 
 class DiskCache:
-    """Content-addressed on-disk store of cleared states and partials."""
+    """Content-addressed on-disk store of finished partials."""
 
     def __init__(self, root: str, *, max_bytes: int | None = None):
         if max_bytes is not None and max_bytes <= 0:
             raise ServeError(f"max_bytes must be positive, got {max_bytes}")
         self.root = os.path.abspath(root)
         self.max_bytes = max_bytes
-        for sub in ("cleared", "partials", "locks"):
+        for sub in ("partials", "locks"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         self._lock = threading.Lock()
         self._hits = 0
@@ -117,12 +104,6 @@ class DiskCache:
         self._evictions = 0
 
     # -- paths / locks --------------------------------------------------------
-
-    def cleared_path(self, base_key: str, region: RegionRect) -> str:
-        """On-disk path of one cleared-region state."""
-        return os.path.join(
-            self.root, "cleared", f"{base_key[:32]}-{region_tag(region)}.npz"
-        )
 
     def partial_path(
         self, base_key: str, region: RegionRect | None, module_digest: str
@@ -150,50 +131,6 @@ class DiskCache:
         with self._lock:
             return DiskCacheStats(self._hits, self._misses,
                                   self._stores, self._evictions)
-
-    # -- cleared-region states ------------------------------------------------
-
-    def load_cleared(self, base_key: str, region: RegionRect) -> ClearedState | None:
-        """The spilled cleared state for ``(base_key, region)``, or None."""
-        path = self.cleared_path(base_key, region)
-        try:
-            with np.load(path, allow_pickle=False) as npz:
-                device = get_device(str(npz["device"]))
-                frames = FrameMemory(device, npz["data"])
-                dirty = frozenset(int(i) for i in npz["dirty"])
-        except FileNotFoundError:
-            self._miss()
-            return None
-        except Exception:
-            # torn or stale entry (e.g. written by an older format): a miss,
-            # and the entry is dropped so it cannot keep failing
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-            self._miss()
-            return None
-        self._hit(path)
-        return frames, dirty
-
-    def store_cleared(self, base_key: str, region: RegionRect,
-                      value: ClearedState) -> None:
-        """Persist one cleared-region state (atomic write-then-rename)."""
-        frames, dirty = value
-        path = self.cleared_path(base_key, region)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.savez(
-                    f,
-                    device=np.array(frames.device.name),
-                    data=frames.data,
-                    dirty=np.array(sorted(dirty), dtype=np.int64),
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        self._stored()
 
     # -- finished partials ----------------------------------------------------
 
@@ -260,17 +197,16 @@ class DiskCache:
     def _entries(self) -> list[tuple[float, int, str]]:
         """(mtime, size, path) of every cache entry, oldest first."""
         out = []
-        for sub in ("cleared", "partials"):
-            d = os.path.join(self.root, sub)
-            for name in os.listdir(d):
-                if name.endswith(".tmp"):
-                    continue
-                path = os.path.join(d, name)
-                try:
-                    st = os.stat(path)
-                except OSError:
-                    continue
-                out.append((st.st_mtime, st.st_size, path))
+        d = os.path.join(self.root, "partials")
+        for name in os.listdir(d):
+            if name.endswith(".tmp"):
+                continue
+            path = os.path.join(d, name)
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            out.append((st.st_mtime, st.st_size, path))
         out.sort()
         return out
 
@@ -296,27 +232,3 @@ class DiskCache:
                 self._evictions += evicted
             current_metrics().count("serve.disk_evict", evicted)
 
-
-class PersistentFrameCache(FrameCache):
-    """A :class:`FrameCache` that spills cleared states through a
-    :class:`DiskCache`.
-
-    Lookups fall through memory to disk before computing and computes are
-    written back under the per-key file lock.  The lock covers only the
-    disk fetch/store, so a racing process may duplicate a compute, but
-    every store re-verifies the entry first: the key converges on a
-    single value and nobody ever blocks behind another process's clear.
-    """
-
-    def __init__(self, disk: DiskCache):
-        super().__init__()
-        self.disk = disk
-
-    def _fetch(self, base_key: str, region: RegionRect) -> ClearedState | None:
-        return self.disk.load_cleared(base_key, region)
-
-    def _store(self, base_key: str, region: RegionRect, value: ClearedState) -> None:
-        self.disk.store_cleared(base_key, region, value)
-
-    def _compute_lock(self, base_key: str, region: RegionRect) -> AbstractContextManager:
-        return self.disk.lock(f"cleared-{base_key[:32]}-{region_tag(region)}")

@@ -49,7 +49,7 @@ class Scheduler:
     a warm pool gets exactly one shepherd thread per pool worker), falling
     back to :func:`repro.exec.default_workers` (``JPG_WORKERS``, then CPU
     count) — the same policy the batch engine uses.  When the service
-    runs a process or warm backend, these threads only shepherd requests
+    runs the warm backend, these threads only shepherd requests
     into the worker pool; the event loop itself stays single-threaded
     either way.
     """

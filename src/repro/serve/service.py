@@ -2,11 +2,11 @@
 
 :class:`GenerationService` is the synchronous core the async scheduler
 and the wire protocol sit on.  It owns one :class:`~repro.batch.BatchJpg`
-(the base bitstream parsed once, the full-stream size measured once), a
-disk-backed :class:`~repro.serve.diskcache.PersistentFrameCache` for
-cleared-region sharing, and a :class:`~repro.serve.diskcache.DiskCache`
-of finished partials — so repeated requests are answered from disk
-byte-identically, even across restarts or from a second process.
+(the base bitstream parsed once, the full-stream size measured once,
+cleared regions shared through its in-memory frame cache) and a
+:class:`~repro.serve.diskcache.DiskCache` of finished partials — so
+repeated requests are answered from disk byte-identically, even across
+restarts or from a second process.
 
 Requests are plain data (:class:`GenRequest`): XDL text, optional UCF
 text, optional explicit region, granularity.  The request **digest**
@@ -27,7 +27,6 @@ import json
 import time
 from dataclasses import dataclass
 
-from ..batch.cache import FrameCache
 from ..batch.engine import BatchItem, BatchJpg
 from ..bitstream.bitfile import BitFile
 from ..bitstream.frames import FrameMemory
@@ -39,7 +38,7 @@ from ..flow.floorplan import RegionRect
 from ..flow.ncd import NcdDesign
 from ..obs import Metrics, use_metrics
 from ..runtime import ReconfigSession, RetryPolicy
-from .diskcache import DiskCache, PersistentFrameCache
+from .diskcache import DiskCache
 
 
 @dataclass(frozen=True)
@@ -155,13 +154,13 @@ class GenerationService:
         retry: RetryPolicy | None = None,
         lint: bool = False,
         sanctioned: list[RegionRect] | None = None,
-        backend: str | Backend = "thread",
+        backend: str | Backend = "serial",
         peer_fetch=None,
     ):
         """``backend`` picks how generations execute (see
-        :mod:`repro.exec`): ``"thread"`` runs them inline on the
+        :mod:`repro.exec`): ``"serial"`` runs them inline on the
         scheduler's threads, ``"warm"`` fans them out to a persistent
-        pool of worker processes over a shared-memory base.  ``sanctioned``
+        pool of worker processes kept hot across requests.  ``sanctioned``
         (with ``lint``) arms the gate's tamper rules: served partials
         must stay inside the policy regions and must not edit routing
         relative to the service's own base configuration.
@@ -176,13 +175,11 @@ class GenerationService:
         self.disk: DiskCache | None = (
             DiskCache(cache_dir, max_bytes=max_cache_bytes) if cache_dir else None
         )
-        cache = PersistentFrameCache(self.disk) if self.disk else FrameCache()
         with use_metrics(self.metrics):
             self.engine = BatchJpg(
                 part,
                 base_bitstream,
                 base_design=base_design,
-                cache=cache,
                 metrics=self.metrics,
                 backend=backend,
             )
@@ -212,8 +209,9 @@ class GenerationService:
 
     @property
     def cache_stats(self):
-        """The engine's frame-cache hit/miss counters."""
-        return self.engine.cache.stats
+        """Frame-cache hit/miss counters from wherever the clears run: the
+        engine's own cache, or the warm pool's workers."""
+        return self.engine.backend.cache_stats(self.engine)
 
     def partial_key(self, request: GenRequest) -> tuple[str, str, str]:
         """The (base fingerprint, region tag, module digest) cache key."""
@@ -369,8 +367,8 @@ class GenerationService:
         self.metrics.count("serve.deploys")
 
     def close(self) -> None:
-        """Release the engine's execution backend (process pool, shared
-        memory).  Idempotent; thread-backed services hold nothing."""
+        """Release the engine's execution backend (the warm pool's
+        workers).  Idempotent; serial services hold nothing."""
         self.engine.close()
 
     def stats(self) -> dict:

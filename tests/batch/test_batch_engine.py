@@ -1,5 +1,7 @@
 """Batch engine tests: determinism, planning, failure isolation, metrics."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.batch import BatchItem, BatchJpg, FrameCache, items_from_project
@@ -68,7 +70,7 @@ class TestManifest:
 class TestRun:
     def test_byte_identical_to_sequential(self, demo_project, engine):
         expected = sequential_partials(demo_project)
-        report = engine.run(items_from_project(demo_project), max_workers=4)
+        report = engine.run(items_from_project(demo_project))
         assert report.ok
         got = report.partials()
         assert set(got) == set(expected)
@@ -79,23 +81,39 @@ class TestRun:
 
     def test_results_in_input_order(self, demo_project, engine):
         items = items_from_project(demo_project)
-        report = engine.run(items, max_workers=4)
+        report = engine.run(items)
         assert [r.item.name for r in report.results] == [i.name for i in items]
 
     def test_deterministic_across_worker_counts(self, demo_project):
-        def run(workers):
+        def run(backend, workers=None):
             e = BatchJpg(demo_project.part, demo_project.base_bitfile,
-                         base_design=demo_project.base_flow.design)
-            return {
-                k: v.data
-                for k, v in e.run(items_from_project(demo_project),
-                                  max_workers=workers).partials().items()
-            }
+                         base_design=demo_project.base_flow.design,
+                         max_workers=workers, backend=backend)
+            try:
+                report = e.run(items_from_project(demo_project))
+            finally:
+                e.close()
+            return {k: v.data for k, v in report.partials().items()}
 
-        assert run(1) == run(4)
+        assert run("serial") == run("warm", 1) == run("warm", 2)
+
+    def test_generate_one_from_concurrent_threads(self, demo_project, engine):
+        """What the serve scheduler does: call generate_one from several
+        threads at once on one engine.  Bytes match sequential generation
+        and each region is still cleared exactly once (single flight)."""
+        expected = sequential_partials(demo_project)
+        items = items_from_project(demo_project) * 3
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(engine.generate_one, items))
+        assert all(r.ok for r in results), [r.error for r in results]
+        for r in results:
+            assert r.result.data == expected[r.item.name].data, r.item.name
+        regions = {item.region for item in items}
+        assert engine.cache.stats.misses == len(regions)
+        assert engine.cache.stats.lookups == len(items)
 
     def test_cache_shared_across_items(self, demo_project, engine):
-        report = engine.run(items_from_project(demo_project), max_workers=2)
+        report = engine.run(items_from_project(demo_project))
         assert report.cache_stats.misses == 2
         assert report.cache_stats.hits == 2
         assert report.cache_stats.hit_rate == 0.5
@@ -108,7 +126,7 @@ class TestRun:
         """One bad item reports its error; the rest still generate."""
         items = items_from_project(demo_project)
         bad = BatchItem("bad", demo_project.versions[("r1", "down")].xdl)  # no region
-        report = engine.run([bad] + items, max_workers=3)
+        report = engine.run([bad] + items)
         assert not report.ok
         assert len(report.failures) == 1
         assert report.failures[0].item.name == "bad"
@@ -117,7 +135,7 @@ class TestRun:
         assert "error" in report.table()
 
     def test_metrics_aggregated_across_pool(self, demo_project, engine):
-        report = engine.run(items_from_project(demo_project), max_workers=4)
+        report = engine.run(items_from_project(demo_project))
         m = report.metrics
         assert m.counter("jpg.partials") == 4
         assert m.counter("batch.partials") == 4

@@ -219,28 +219,3 @@ class TestBaseKey:
         report = engine.run(items_from_project(demo_project))
         assert report.ok and len(report.results) == 4
         assert len(calls) == 1, "every item reuses the engine's base key"
-
-
-class TestPut:
-    """put(): seeding entries from process-backend deltas, outside stats."""
-
-    def test_put_seeds_a_lookup_free_entry(self, device, region):
-        cache = FrameCache()
-        cleared = FrameMemory(device)
-        assert cache.put("base", region, (cleared, frozenset({3}))) is True
-        assert len(cache) == 1
-        assert cache.stats.lookups == 0, "seeding must not count as traffic"
-        # a later cleared() against the seeded key is a plain hit
-        out = cache.cleared("base", region, lambda: pytest.fail("factory ran"))
-        assert out == (cleared, frozenset({3}))
-        assert cache.stats.hits == 1 and cache.stats.misses == 0
-
-    def test_put_never_overwrites(self, device, region):
-        cache = FrameCache()
-        first = FrameMemory(device)
-        cache.cleared("base", region, lambda: (first, frozenset()))
-        second = FrameMemory(device)
-        second.set_bit(0, 0, 1)
-        assert cache.put("base", region, (second, frozenset({0}))) is False
-        out = cache.cleared("base", region, lambda: pytest.fail("factory ran"))
-        assert out[0] is first

@@ -385,7 +385,58 @@ class TestBatch:
         assert rc == 2
         assert "manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--backend", "process"], ["--warm-pool"]])
+    def test_batch_warm_backend_sized_by_jobs(self, manifest, capsys, monkeypatch):
+        """-j sizes the warm pool, and the warm batch writes the serial
+        batch's exact bytes."""
+        from repro.exec import WarmPool
+
+        spawned = []
+        real_spawn = WarmPool._spawn
+
+        def counting_spawn(pool, idx):
+            spawned.append(idx)
+            return real_spawn(pool, idx)
+
+        monkeypatch.setattr(WarmPool, "_spawn", counting_spawn)
+        out = {}
+        for backend in ("serial", "warm"):
+            outdir = manifest["tmp"] / f"out-{backend}"
+            rc = main([
+                "batch", "-p", "XCV50",
+                "--base", manifest["base"],
+                "--manifest", manifest["path"],
+                "-o", str(outdir), "-j", "2", "--backend", backend,
+            ])
+            assert rc == 0
+            out[backend] = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        capsys.readouterr()
+        assert spawned == [0, 1]
+        assert len(out["warm"]) == 4 and out["warm"] == out["serial"]
+
+    def test_serve_workers_size_the_warm_pool(self, manifest, monkeypatch):
+        """jpg serve has one worker count: --workers sizes the warm pool
+        (and, through it, the scheduler)."""
+        import repro.serve
+        from repro.errors import UsageError
+
+        seen = {}
+
+        def fake_service(*args, backend, **kwargs):
+            seen["backend"] = backend
+            raise UsageError("stop before serving")
+
+        monkeypatch.setattr(repro.serve, "GenerationService", fake_service)
+        argv = ["serve", "-p", "XCV50", "--base", manifest["base"],
+                "--stdio", "--workers", "3"]
+        assert main(argv + ["--backend", "warm"]) == 2
+        assert seen["backend"].name == "warm"
+        assert seen["backend"].planned_workers() == 3
+        assert main(argv) == 2
+        assert seen["backend"] == "serial"
+
+    @pytest.mark.parametrize("flags", [["--backend", "process"], ["--warm-pool"],
+                                       ["--backend", "thread"],
+                                       ["--pool-size", "2"]])
     def test_removed_backend_flags_are_usage_errors(self, manifest, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -8,7 +8,6 @@ from repro.exec import (
     MAX_DEFAULT_WORKERS,
     Backend,
     SerialBackend,
-    ThreadBackend,
     default_workers,
     get_backend,
 )
@@ -17,10 +16,9 @@ from repro.exec import (
 class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
 
     def test_instances_pass_through(self):
-        be = ThreadBackend(workers=3)
+        be = SerialBackend()
         assert get_backend(be) is be
 
     def test_unknown_name_raises(self):
@@ -32,8 +30,14 @@ class TestGetBackend:
         with pytest.raises(ExecError, match="unknown backend 'process'"):
             get_backend("process")
 
+    def test_thread_backend_is_gone(self):
+        """Callers wanting in-process concurrency call ``run_one`` from
+        their own threads (the serve scheduler does)."""
+        with pytest.raises(ExecError, match="unknown backend 'thread'"):
+            get_backend("thread")
+
     def test_names_list_is_complete(self):
-        assert BACKEND_NAMES == ("serial", "thread", "warm")
+        assert BACKEND_NAMES == ("serial", "warm")
         for name in BACKEND_NAMES:
             assert isinstance(get_backend(name), Backend)
             assert get_backend(name).name == name

@@ -1,15 +1,16 @@
-"""Warm-pool lifecycle: spawn/reuse, crash recycling, drain, leak checks.
+"""Warm-pool lifecycle: spawn/reuse, crash recycling, a read-only base,
+leak checks.
 
 The pool's correctness story has three legs, and each gets direct
 coverage here:
 
 * **reuse** — workers are forked once and survive across batches (stable
   pids), which is the entire point of the warm backend;
-* **fault handling** — a worker that dies mid-task is recycled in place
-  and the task retried exactly once; a second death raises
-  :class:`ExecError` and never hands back a report missing items;
-* **hygiene** — ``close()`` leaves no orphan worker processes and no
-  leaked ``/dev/shm`` segments, whatever happened before it.
+* **fault handling** — a worker that dies mid-task, or between batches,
+  is recycled in place and the task retried exactly once; a second death
+  raises :class:`ExecError` and never hands back a report missing items;
+* **hygiene** — every worker sees the base read-only, and ``close()``
+  leaves no orphan worker processes, whatever happened before it.
 
 Byte-identity of warm-pool output against the sequential path lives in
 the differential suite (``tests/integration/test_differential.py``),
@@ -18,6 +19,7 @@ which parametrizes its conformance matrix over every backend name.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -27,19 +29,14 @@ import pytest
 from repro.batch import BatchJpg
 from repro.batch.engine import items_from_project
 from repro.errors import ExecError
-from repro.exec import ArenaSpec, OutputArena, WarmPool, WarmPoolBackend
+from repro.exec import WarmPool, WarmPoolBackend
 
 pytestmark = pytest.mark.warmpool
 
 
-def _shm_paths(pool: WarmPool) -> list[str]:
-    """The /dev/shm paths of the pool's segments (empty when unbound)."""
-    names = []
-    if pool._shared is not None:
-        names.append(pool._shared.spec.name)
-    if pool._arena is not None:
-        names.append(pool._arena.spec.name)
-    return [f"/dev/shm/{name.lstrip('/')}" for name in names]
+def _alive(pool: WarmPool) -> dict[int, int]:
+    """Seat index -> pid for every live worker of the pool."""
+    return {s.idx: s.process.pid for s in pool._seats if s.process.is_alive()}
 
 
 def _wait_dead(pids, timeout: float = 5.0) -> bool:
@@ -67,72 +64,14 @@ def _wait_dead(pids, timeout: float = 5.0) -> bool:
 
 @pytest.fixture
 def warm_engine(demo_project):
-    """A BatchJpg on a 2-worker warm pool, closed (and leak-checked) after
-    the test."""
+    """A BatchJpg on a 2-worker warm pool, closed (and orphan-checked)
+    after the test."""
     backend = WarmPoolBackend(workers=2)
     engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
     yield engine, backend.pool
-    paths = _shm_paths(backend.pool)
+    pids = list(_alive(backend.pool).values())
     engine.close()
-    for path in paths:
-        assert not os.path.exists(path), f"leaked shm segment {path}"
-
-
-class TestOutputArena:
-    def test_write_read_roundtrip_per_slot(self):
-        arena = OutputArena.create(slots=3, slot_bytes=64)
-        try:
-            attached = OutputArena.attach(arena.spec)
-            try:
-                payloads = [b"a" * 10, b"b" * 64, b"c"]
-                for slot, payload in enumerate(payloads):
-                    assert attached.write(slot, payload) == len(payload)
-                for slot, payload in enumerate(payloads):
-                    assert arena.read(slot, len(payload)) == payload
-            finally:
-                attached.close()
-        finally:
-            arena.unlink()
-
-    def test_oversized_write_returns_none(self):
-        arena = OutputArena.create(slots=1, slot_bytes=16)
-        try:
-            assert arena.write(0, b"x" * 17) is None
-            assert arena.write(0, b"x" * 16) == 16
-        finally:
-            arena.unlink()
-
-    def test_read_beyond_slot_capacity_raises(self):
-        arena = OutputArena.create(slots=1, slot_bytes=16)
-        try:
-            with pytest.raises(ExecError, match="exceeds slot capacity"):
-                arena.read(0, 17)
-        finally:
-            arena.unlink()
-
-    def test_attach_after_unlink_raises(self):
-        arena = OutputArena.create(slots=1, slot_bytes=16)
-        spec = arena.spec
-        arena.unlink()
-        with pytest.raises(ExecError, match="gone"):
-            OutputArena.attach(spec)
-
-    def test_unlink_is_idempotent(self):
-        arena = OutputArena.create(slots=1, slot_bytes=16)
-        arena.unlink()
-        arena.unlink()
-
-    def test_spec_is_small_and_picklable(self):
-        import pickle
-
-        arena = OutputArena.create(slots=4, slot_bytes=32)
-        try:
-            blob = pickle.dumps(arena.spec)
-            assert len(blob) < 256, "spec must stay a tiny start-up payload"
-            assert pickle.loads(blob) == ArenaSpec(arena.spec.name, 4, 32)
-            assert arena.nbytes == 4 * 32
-        finally:
-            arena.unlink()
+    assert _wait_dead(pids), f"orphaned warm workers: {pids}"
 
 
 class TestPoolLifecycle:
@@ -143,11 +82,11 @@ class TestPoolLifecycle:
         items = items_from_project(demo_project)
         report1 = engine.run(items)
         assert report1.ok
-        pids1 = pool.ping()
+        pids1 = _alive(pool)
         assert len(pids1) == 2
         report2 = engine.run(items)
         assert report2.ok
-        assert pool.ping() == pids1, "batch #2 must reuse batch #1's workers"
+        assert _alive(pool) == pids1, "batch #2 must reuse batch #1's workers"
         assert pool.recycles == 0
         assert pool.tasks == 2 * len(items)
         for a, b in zip(report1.results, report2.results):
@@ -166,7 +105,7 @@ class TestPoolLifecycle:
         assert not flag.exists(), "the crash flag must be consumed"
         assert pool.recycles == 1
         assert pool.retries == 1
-        assert len(pool.ping()) == 2
+        assert len(_alive(pool)) == 2
 
     def test_persistent_crash_gives_up_after_one_retry(self, demo_project,
                                                        warm_engine, monkeypatch):
@@ -180,41 +119,39 @@ class TestPoolLifecycle:
             engine.run(items)
         assert pool.retries >= 1 and pool.recycles >= 2
         monkeypatch.delenv("JPG_EXEC_CRASH")
-        pool.ensure()   # what the serve path does between requests
         report = engine.run(items)
         assert report.ok and len(report.results) == 4
 
     def test_close_leaves_no_orphans_or_shm(self, demo_project):
         """Drain-on-shutdown hygiene: after close(), every worker pid is
-        gone and both shared segments are unlinked from /dev/shm."""
+        gone.  (The pool no longer creates shared-memory segments, so
+        there is nothing under /dev/shm to leak.)"""
         backend = WarmPoolBackend(workers=2)
         engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
         report = engine.run(items_from_project(demo_project)[:2])
         assert report.ok
         pool = backend.pool
-        pids = list(pool.ping().values())
-        paths = _shm_paths(pool)
-        assert len(pids) == 2 and len(paths) == 2
-        for path in paths:
-            assert os.path.exists(path)
+        pids = list(_alive(pool).values())
+        assert len(pids) == 2
         engine.close()
         assert _wait_dead(pids), f"orphaned warm workers: {pids}"
-        for path in paths:
-            assert not os.path.exists(path), f"leaked shm segment {path}"
         engine.close()  # idempotent
 
     def test_ensure_respawns_externally_killed_worker(self, demo_project,
                                                       warm_engine):
-        """A worker killed between batches (OOM killer) is respawned by
-        ensure() without surfacing as a failed request."""
+        """A worker killed while idle between batches (OOM killer) is
+        recycled when the next task reaches its seat, without surfacing
+        as a failed item."""
         engine, pool = warm_engine
-        assert engine.run(items_from_project(demo_project)[:1]).ok
+        items = items_from_project(demo_project)
+        assert engine.run(items).ok
         victim = pool._seats[0].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(5.0)
-        assert pool.ensure() == 1
-        assert len(pool.ping()) == 2
-        assert engine.run(items_from_project(demo_project)[:1]).ok
+        report = engine.run(items)
+        assert report.ok and len(report.results) == len(items)
+        assert pool.recycles == 1
+        assert len(_alive(pool)) == 2
 
     def test_rebinding_to_another_engine_raises(self, demo_project):
         backend = WarmPoolBackend(workers=1)
@@ -241,32 +178,6 @@ class TestPoolLifecycle:
         with pytest.raises(ExecError, match="closed"):
             backend.pool.bind(engine)
 
-    def test_drain_returns_when_idle(self, demo_project, warm_engine):
-        engine, pool = warm_engine
-        assert engine.run(items_from_project(demo_project)[:1]).ok
-        pool.drain()   # no in-flight work: must not deadlock
-        assert len(pool.ping()) == 2
-
-
-class TestArenaSpill:
-    def test_tiny_slots_spill_inline_and_stay_correct(self, demo_project):
-        """Replies that outgrow their arena slot fall back to pipe
-        transport — slower, never wrong."""
-        backend = WarmPoolBackend(workers=2, slot_bytes=64)
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
-        reference = BatchJpg("XCV50", demo_project.base_bitfile, backend="serial")
-        items = items_from_project(demo_project)
-        try:
-            report = engine.run(items)
-            assert report.ok
-            assert backend.pool.arena_spills == len(items)
-            expect = reference.run(items)
-            for a, b in zip(report.results, expect.results):
-                assert a.result.data == b.result.data
-        finally:
-            engine.close()
-            reference.close()
-
 
 class TestBackendIntegration:
     def test_planned_workers_sizes_the_scheduler(self, demo_project):
@@ -290,22 +201,28 @@ class TestBackendIntegration:
         assert snap2["exec.pool.tasks"] == 2 * len(items)
         gauges = engine.metrics.snapshot()["gauges"]
         assert gauges["exec.pool.workers_alive"]["last"] == 2
-        assert gauges["exec.pool.arena_bytes"]["last"] == pool._arena.nbytes
 
-    def test_shared_pool_across_backend_instances(self, demo_project):
-        """One WarmPool can back both a batch engine's backend and a serve
-        backend, which is how BatchJpg and the scheduler share a pool."""
-        pool = WarmPool(workers=1)
-        batch_backend = WarmPoolBackend(pool=pool)
-        engine = BatchJpg("XCV50", demo_project.base_bitfile,
-                          backend=batch_backend)
+
+def _write_to_base(engine, item):
+    """Stands in for a task that (wrongly) edits the shared base."""
+    engine.base_frames.data[0, 0] = 1
+
+
+class TestReadOnlyBase:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patched task reaches workers by fork")
+    def test_worker_write_to_base_raises(self, demo_project, monkeypatch):
+        """Every worker sees the base read-only: a task that writes to it
+        fails loudly instead of corrupting every later task."""
+        from repro.exec import worker
+
+        monkeypatch.setattr(worker, "_run_item", _write_to_base)
+        backend = WarmPoolBackend(workers=1)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
         try:
-            assert engine.run(items_from_project(demo_project)[:1]).ok
-            serve_backend = WarmPoolBackend(pool=pool)
-            assert serve_backend.planned_workers() == 1
-            item = items_from_project(demo_project)[1]
-            result = serve_backend.run_one(engine, item)
-            assert result.ok
-            assert pool.tasks == 2
+            with pytest.raises(ExecError, match="read-only"):
+                engine.run(items_from_project(demo_project)[:1])
         finally:
             engine.close()
+        # the parent's own base stays writable (only workers are guarded)
+        assert engine.base_frames.data.flags.writeable

@@ -5,7 +5,7 @@ on the final device state:
 
 * **BatchJpg** (shared base, frame cache) emitting a partial that is then
   applied to a clone of the base configuration — on *every* execution
-  backend: serial, thread, and warm (the conformance matrix that keeps
+  backend: serial and warm (the conformance matrix that keeps
   the worker-process pool honest);
 * the sequential **Jpg** single-shot path (`make_partial`), whose partial
   must be byte-identical to BatchJpg's;
@@ -132,9 +132,10 @@ class TestBackendConformance:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_backend_partials_byte_identical(self, demo_project,
                                              sequential_partials, backend):
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend,
+                          max_workers=2)
         try:
-            report = engine.run(_items(demo_project), max_workers=2)
+            report = engine.run(_items(demo_project))
         finally:
             engine.close()
         assert report.ok, [f.error for f in report.failures]

@@ -97,31 +97,6 @@ class TestTableFormat:
 class TestServePersistenceProperties:
     """Round-trip properties of the serve layer's content-addressed state."""
 
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        dirty=st.sets(st.integers(0, 1449), max_size=30),
-        corner=st.tuples(st.integers(0, 10), st.integers(0, 10)),
-    )
-    def test_disk_cleared_state_roundtrip(self, tmp_path_factory, seed, dirty, corner):
-        from repro.flow.floorplan import RegionRect
-        from repro.serve import DiskCache
-
-        fm = FrameMemory(get_device("XCV50"))
-        rng = np.random.default_rng(seed)
-        fm.data[:] = rng.integers(
-            0, 2**32, size=fm.data.shape, dtype=np.uint64
-        ).astype(np.uint32) & fm._payload_mask[None, :]
-        region = RegionRect(corner[0], corner[1], corner[0] + 2, corner[1] + 2)
-        disk = DiskCache(str(tmp_path_factory.mktemp("dc")))
-        disk.store_cleared("k" * 64, region, (fm, frozenset(dirty)))
-        loaded = disk.load_cleared("k" * 64, region)
-        assert loaded is not None
-        frames, loaded_dirty = loaded
-        assert frames == fm
-        assert loaded_dirty == frozenset(dirty)
-
     @given(data=st.binary(min_size=0, max_size=4096))
     @settings(max_examples=25, deadline=None)
     def test_disk_partial_roundtrip(self, tmp_path_factory, data):

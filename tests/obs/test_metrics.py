@@ -173,11 +173,11 @@ class TestMerge:
 
     def test_gauges_keep_last_and_combine_extremes(self):
         parent, worker = Metrics(), Metrics()
-        parent.gauge("exec.shm_bytes", 100.0)
-        worker.gauge("exec.shm_bytes", 50.0)
-        worker.gauge("exec.shm_bytes", 400.0)
+        parent.gauge("demo.bytes", 100.0)
+        worker.gauge("demo.bytes", 50.0)
+        worker.gauge("demo.bytes", 400.0)
         parent.merge(worker.snapshot())
-        g = parent.gauges["exec.shm_bytes"]
+        g = parent.gauges["demo.bytes"]
         assert g.last == 400.0
         assert g.min == 50.0
         assert g.max == 400.0

@@ -1,22 +1,16 @@
-"""DiskCache / PersistentFrameCache: persistence, locking, eviction,
-cross-process single-flight, and survival of an unclean death (kill -9).
+"""DiskCache: persistence, eviction, cross-process convergence, and
+survival of an unclean death (kill -9).
 """
 
 import os
 import signal
 import subprocess
 import sys
-import threading
-import time
 
-import numpy as np
 import pytest
 
-from repro.batch.cache import FrameCache
-from repro.bitstream.frames import FrameMemory
-from repro.devices import get_device
 from repro.flow.floorplan import RegionRect
-from repro.serve import DiskCache, PersistentFrameCache, region_tag
+from repro.serve import DiskCache, region_tag
 
 KEY = "a" * 64
 DIGEST = "d" * 64
@@ -25,45 +19,16 @@ REGION = RegionRect(0, 2, 15, 11)
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
-def _frames(seed: int = 0) -> FrameMemory:
-    fm = FrameMemory(get_device("XCV50"))
-    rng = np.random.default_rng(seed)
-    fm.data[:] = rng.integers(0, 2**32, size=fm.data.shape,
-                              dtype=np.uint64).astype(np.uint32) & fm._payload_mask[None, :]
-    return fm
-
-
 class TestRegionTag:
     def test_tag_shapes(self):
         assert region_tag(REGION) == "0_2_15_11"
         assert region_tag(None) == "none"
 
 
-class TestClearedRoundtrip:
-    def test_store_load(self, tmp_path):
+class TestPartialsAndEviction:
+    def test_absent_partial_is_miss(self, tmp_path):
         disk = DiskCache(str(tmp_path))
-        fm = _frames(1)
-        disk.store_cleared(KEY, REGION, (fm, frozenset({3, 4, 5})))
-        loaded = disk.load_cleared(KEY, REGION)
-        assert loaded is not None
-        frames, dirty = loaded
-        assert frames == fm and frames.device.name == "XCV50"
-        assert dirty == frozenset({3, 4, 5})
-        assert disk.stats.hits == 1 and disk.stats.stores == 1
-
-    def test_absent_is_miss(self, tmp_path):
-        disk = DiskCache(str(tmp_path))
-        assert disk.load_cleared(KEY, REGION) is None
         assert disk.load_partial(KEY, REGION, DIGEST) is None
-        assert disk.stats.misses == 2
-
-    def test_corrupt_entry_is_dropped(self, tmp_path):
-        disk = DiskCache(str(tmp_path))
-        path = disk.cleared_path(KEY, REGION)
-        with open(path, "wb") as f:
-            f.write(b"this is not an npz")
-        assert disk.load_cleared(KEY, REGION) is None
-        assert not os.path.exists(path), "corrupt entry must be deleted"
         assert disk.stats.misses == 1
 
     def test_tmp_litter_is_ignored(self, tmp_path):
@@ -75,8 +40,18 @@ class TestClearedRoundtrip:
         assert disk.load_partial(KEY, REGION, DIGEST) == b"payload"
         assert disk.size_bytes() == len(b"payload")
 
+    def test_old_cleared_directory_is_not_counted(self, tmp_path):
+        """A ``cleared/`` directory left by an older version is ignored:
+        its files neither count against the byte cap nor get evicted."""
+        old = tmp_path / "cleared"
+        old.mkdir()
+        (old / "stale.npz").write_bytes(b"x" * 5000)
+        disk = DiskCache(str(tmp_path), max_bytes=3500)
+        disk.store_partial(KEY, None, DIGEST, bytes(1000))
+        assert disk.size_bytes() == 1000
+        assert disk.stats.evictions == 0
+        assert disk.load_partial(KEY, None, DIGEST) == bytes(1000)
 
-class TestPartialsAndEviction:
     def test_partial_roundtrip_region_none(self, tmp_path):
         disk = DiskCache(str(tmp_path))
         disk.store_partial(KEY, None, DIGEST, b"\x00\x01\x02")
@@ -105,149 +80,35 @@ class TestPartialsAndEviction:
             DiskCache(str(tmp_path), max_bytes=0)
 
 
-class TestPersistentFrameCache:
-    def test_second_cache_fetches_from_disk(self, tmp_path):
-        disk = DiskCache(str(tmp_path))
-        fm = _frames(2)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return fm, frozenset({9})
-
-        first = PersistentFrameCache(disk)
-        out1 = first.cleared(KEY, REGION, factory)
-        assert len(calls) == 1 and first.stats.misses == 1
-
-        # a fresh in-memory cache over the same disk: factory must NOT run
-        second = PersistentFrameCache(DiskCache(str(tmp_path)))
-        out2 = second.cleared(KEY, REGION, factory)
-        assert len(calls) == 1
-        assert second.stats.hits == 1 and second.stats.misses == 0
-        assert out2[0] == out1[0] and out2[1] == out1[1]
-
-    def test_thread_stress_exactly_one_compute(self, tmp_path):
-        """Satellite (c): N threads, one key -> one compute, stats add up."""
-        disk = DiskCache(str(tmp_path))
-        cache = PersistentFrameCache(disk)
-        computes = []
-        gate = threading.Barrier(8)
-        results = []
-
-        def worker():
-            def factory():
-                computes.append(threading.get_ident())
-                time.sleep(0.05)  # widen the race window
-                return _frames(3), frozenset({1})
-
-            gate.wait()
-            results.append(cache.cleared(KEY, REGION, factory))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(computes) == 1
-        assert cache.stats.misses == 1 and cache.stats.hits == 7
-        assert all(r[0] is results[0][0] for r in results)
-
-    def test_disk_backed_thread_stress_two_caches(self, tmp_path):
-        """Same stress, threads split across two cache instances sharing one
-        disk root.  The file lock covers only fetch/store — never the
-        compute — so each *instance* runs at most one compute (its entry
-        lock), the instances may duplicate (at most one compute each), and
-        stores re-verify so both converge on one on-disk entry."""
-        caches = [PersistentFrameCache(DiskCache(str(tmp_path)))
-                  for _ in range(2)]
-        computes = []
-        gate = threading.Barrier(6)
-        results = []
-
-        def worker(i):
-            def factory():
-                computes.append(i)
-                time.sleep(0.05)
-                return _frames(4), frozenset()
-
-            gate.wait()
-            results.append(caches[i % 2].cleared(KEY, REGION, factory))
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert 1 <= len(computes) <= 2          # at most one per instance
-        total = sum(c.stats.hits + c.stats.misses for c in caches)
-        assert total == 6
-        # every caller, whichever instance it went through, got the same state
-        assert all(r[0] == results[0][0] and r[1] == results[0][1]
-                   for r in results)
-        # and the disk holds exactly one converged entry
-        disk = DiskCache(str(tmp_path))
-        assert disk.load_cleared(KEY, REGION) is not None
-
-    def test_factory_runs_outside_the_file_lock(self, tmp_path):
-        """The cross-process lock must be *released* during the compute: a
-        slow factory in one cache cannot block another process's fetch.
-        Proven directly: while the factory runs, taking the same file lock
-        from another thread must succeed immediately."""
-        disk = DiskCache(str(tmp_path))
-        cache = PersistentFrameCache(disk)
-        lock_name = f"cleared-{KEY[:32]}-{region_tag(REGION)}"
-        lock_free_during_compute = []
-
-        def factory():
-            acquired = []
-
-            def try_lock():
-                with disk.lock(lock_name):
-                    acquired.append(True)
-
-            t = threading.Thread(target=try_lock)
-            t.start()
-            t.join(timeout=5)   # would deadlock-wait if cleared() held it
-            lock_free_during_compute.append(bool(acquired))
-            return _frames(5), frozenset({2})
-
-        cache.cleared(KEY, REGION, factory)
-        assert lock_free_during_compute == [True]
-
-
 WORKER_SCRIPT = """
 import sys, time
 sys.path.insert(0, {src!r})
-from repro.serve import DiskCache, PersistentFrameCache
-from repro.bitstream.frames import FrameMemory
-from repro.devices import get_device
-from repro.flow.floorplan import RegionRect
+from repro.serve import DiskCache
 
 root, marker = sys.argv[1], sys.argv[2]
-cache = PersistentFrameCache(DiskCache(root))
-
-def factory():
+disk = DiskCache(root)
+key, digest = "k" * 64, "g" * 64
+data = disk.load_partial(key, None, digest)
+if data is None:
     with open(marker, "a") as f:
-        f.write("compute\\n")
-    time.sleep(0.4)   # long enough for the sibling to pile on the lock
-    return FrameMemory(get_device("XCV50")), frozenset({{7}})
-
-frames, dirty = cache.cleared("k" * 64, RegionRect(0, 2, 15, 11), factory)
-assert dirty == frozenset({{7}})
-print("done", cache.stats.hits, cache.stats.misses)
+        f.write("generate\\n")
+    time.sleep(0.4)   # a slow generation: the sibling must not wait on it
+    data = b"partial-" + b"x" * 1000
+    disk.store_partial(key, None, digest, data)
+print("done", len(data))
 """
 
 
 class TestCrossProcess:
     @pytest.mark.serve
     def test_two_processes_converge_without_blocking(self, tmp_path):
-        """Two processes race one key.  The file lock is released during
-        the compute, so either process may compute (1 or 2 computes, never
-        more), neither ever blocks behind the other's 0.4 s factory, and
-        re-verified stores leave exactly one entry both agree on."""
+        """Two processes race one partial key.  No lock is held while a
+        partial generates, so both may generate (1 or 2 generations,
+        never more), and the atomic stores leave exactly one entry both
+        agree on."""
         script = tmp_path / "worker.py"
         script.write_text(WORKER_SCRIPT.format(src=os.path.abspath(SRC)))
-        marker = str(tmp_path / "computes.log")
+        marker = str(tmp_path / "generations.log")
         root = str(tmp_path / "cache")
         procs = [
             subprocess.Popen([sys.executable, str(script), root, marker],
@@ -257,16 +118,17 @@ class TestCrossProcess:
         outs = [p.communicate(timeout=120) for p in procs]
         for p, (out, err) in zip(procs, outs):
             assert p.returncode == 0, err.decode()
-            assert out.decode().startswith("done")
+            assert out.decode().split() == ["done", "1008"]
         with open(marker) as f:
-            computes = f.read().splitlines()
-        assert 1 <= len(computes) <= 2, (
-            f"expected 1-2 cross-process computes, got {len(computes)}"
+            generations = f.read().splitlines()
+        assert 1 <= len(generations) <= 2, (
+            f"expected 1-2 cross-process generations, got {len(generations)}"
         )
-        # duplicates converged: one valid entry serves both processes
         disk = DiskCache(root)
-        loaded = disk.load_cleared("k" * 64, RegionRect(0, 2, 15, 11))
-        assert loaded is not None and loaded[1] == frozenset({7})
+        assert disk.load_partial("k" * 64, None, "g" * 64) == b"partial-" + b"x" * 1000
+        assert os.listdir(os.path.join(root, "partials")) == [
+            os.path.basename(disk.partial_path("k" * 64, None, "g" * 64))
+        ]
 
     @pytest.mark.serve
     def test_cache_survives_kill_minus_nine(self, tmp_path):
@@ -277,14 +139,8 @@ class TestCrossProcess:
 import sys, time
 sys.path.insert(0, {os.path.abspath(SRC)!r})
 from repro.serve import DiskCache
-from repro.bitstream.frames import FrameMemory
-from repro.devices import get_device
-from repro.flow.floorplan import RegionRect
 
 disk = DiskCache(sys.argv[1])
-fm = FrameMemory(get_device("XCV50"))
-fm.set_bit(10, 0, 1)
-disk.store_cleared("b" * 64, RegionRect(0, 2, 15, 11), (fm, frozenset({{10}})))
 disk.store_partial("b" * 64, None, "m" * 64, b"partial-bytes")
 print("READY", flush=True)
 time.sleep(300)   # spin until killed
@@ -303,10 +159,6 @@ time.sleep(300)   # spin until killed
         assert proc.returncode == -signal.SIGKILL
 
         disk = DiskCache(root)
-        loaded = disk.load_cleared("b" * 64, RegionRect(0, 2, 15, 11))
-        assert loaded is not None
-        frames, dirty = loaded
-        assert frames.get_bit(10, 0) == 1 and dirty == frozenset({10})
         assert disk.load_partial("b" * 64, None, "m" * 64) == b"partial-bytes"
 
 

@@ -89,3 +89,27 @@ class TestDeployOnGenerate:
     def test_no_board_no_deploy_flag(self, service, demo_project):
         result = service.generate(request_for(demo_project, version="up"))
         assert result.ok and not result.deployed
+
+
+class TestWarmBackend:
+    def test_frame_cache_stats_count_the_workers_clears(self, demo_project):
+        """On a warm backend the workers do the clears, so the service's
+        frame-cache stats must come from them, not from the parent's idle
+        cache: every generated request is one lookup."""
+        from repro.exec import WarmPoolBackend
+
+        svc = GenerationService("XCV50", demo_project.base_bitfile,
+                                backend=WarmPoolBackend(workers=2))
+        try:
+            requests = [request_for(demo_project, region, version)
+                        for region, version in (("r1", "up"), ("r1", "down"),
+                                                ("r2", "left"), ("r2", "right"),
+                                                ("r1", "up"))]
+            for req in requests:
+                result = svc.generate(req)
+                assert result.ok and result.source == "generated", result.error
+            stats = svc.stats()["frame_cache"]
+        finally:
+            svc.close()
+        assert stats["hits"] + stats["misses"] == len(requests)
+        assert 2 <= stats["misses"] <= len(requests)

@@ -26,7 +26,7 @@ Four workload axes, selectable with ``--workload``:
 Batch backends are timed at two temperatures:
 
 * **cold** — a fresh engine per repeat: what a one-shot ``jpg batch
-  --backend X`` costs, pool start-up and shared-memory publication
+  --backend X`` costs, pool start-up (forking the workers over the base)
   included;
 * **warm** — one engine, a priming run, then best-of-``--repeats`` on the
   same engine: the steady state a resident ``jpg serve`` pool reaches.
@@ -59,7 +59,8 @@ families are never compared blind::
 site/PIP identity across flow engines and repeats, are always checked
 (speed means nothing if the results differ).  The timing gate enforces
 only with ``cpu_count() >= 4`` (or ``--enforce``); starved runners
-report-only (``"enforced": false``):
+and ``--no-enforce`` report timing only (``"enforced": false``), while
+an identity failure still exits 1:
 
 * small: the pooled warm backend within ``--tolerance`` of serial, cold
   and warm;
@@ -490,7 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     enforce.add_argument("--enforce", dest="enforce", action="store_true",
                          default=None, help="enforce regardless of CPU count")
     enforce.add_argument("--no-enforce", dest="enforce", action="store_false",
-                         help="never fail, only report")
+                         help="report timing only (identity failures "
+                              "still exit 1)")
     return run_gate(parser.parse_args(argv))
 
 
