@@ -11,20 +11,24 @@ Claims measured here:
   identical across every execution backend (serial, warm);
 * the frame cache hits for every repeated region footprint
   (7 hits / 3 misses over the 3x(3,3,4) manifest);
-* batching wins wall-clock over sequential generation.
-
-Backend wall-clock comparisons live in ``tools/perf_gate.py``.
+* batching wins wall-clock over sequential generation;
+* the warm pool's wall clock against serial on 108 XCV1000 partials,
+  cold and warm (print-only: the runners this records on have 1-2
+  vCPUs, too few for a speed assertion to mean anything).
 
 ``pytest benchmarks/bench_batch.py --benchmark-only`` times both flows.
 """
 
 import time
 
+import pytest
+
 from repro.batch import BatchJpg, FrameCache, items_from_project
 from repro.core import Jpg
 from repro.exec import BACKEND_NAMES
 from repro.obs import Metrics
 from repro.ucf.parser import parse_ucf
+from repro.workloads import make_project, scale_plan
 from repro.xdl.parser import parse_xdl
 
 
@@ -59,6 +63,13 @@ def generate_batched(project, *, max_workers=None, backend="serial"):
         engine.close()
     assert report.ok, [r.error for r in report.failures]
     return report
+
+
+@pytest.fixture(scope="module")
+def scale_project():
+    """12 slab regions x 9 variants on an XCV1000: 108 partials."""
+    plans = scale_plan("XCV1000", regions=12, variants=9)
+    return make_project("scale", "XCV1000", plans, seed=5)
 
 
 class TestEquivalence:
@@ -121,6 +132,48 @@ class TestWallClock:
               f"{report.cache_stats.hits} cache hits")
         print(report.table())
         assert t_batch < t_seq
+
+    def test_warm_pool_vs_serial_at_scale(self, scale_project):
+        """Record serial vs warm on 108 XCV1000 partials: one cold run on
+        a fresh engine (pool start-up included) and the best of three
+        runs on a primed engine.  Reports, never asserts, speed."""
+        items = items_from_project(scale_project)
+
+        def engine(backend):
+            return BatchJpg(scale_project.part, scale_project.base_bitfile,
+                            base_design=scale_project.base_flow.design,
+                            backend=backend)
+
+        def timed_run(eng):
+            t0 = time.perf_counter()
+            report = eng.run(items)
+            elapsed = time.perf_counter() - t0
+            assert report.ok, [r.error for r in report.failures]
+            return elapsed, {k: v.data for k, v in report.partials().items()}
+
+        # fill the process-wide XDL parse cache first: forked pool workers
+        # inherit it, so whichever backend ran first would pay it alone
+        eng = engine("serial")
+        try:
+            timed_run(eng)
+        finally:
+            eng.close()
+        partials = {}
+        print(f"\n{len(items)} XCV1000 partials, default worker count")
+        for backend in BACKEND_NAMES:
+            eng = engine(backend)
+            try:
+                cold, partials[backend] = timed_run(eng)
+            finally:
+                eng.close()
+            eng = engine(backend)
+            try:
+                timed_run(eng)                         # priming run
+                warm = min(timed_run(eng)[0] for _ in range(3))
+            finally:
+                eng.close()
+            print(f"{backend:<8} cold {cold:.3f} s   warm {warm:.3f} s")
+        assert partials["warm"] == partials["serial"]
 
     def test_sequential_generation(self, benchmark, fig4_project):
         results = benchmark.pedantic(

@@ -1,4 +1,4 @@
-"""The distributed generation cluster (``jpg loadgen``).
+"""The distributed generation cluster.
 
 One ``jpg serve`` node already makes repeated work free (persistent
 disk cache, coalescing scheduler, pooled backends).  This package scales
@@ -17,36 +17,17 @@ front-end process: clients route.
   answers any key, so ``jpg submit --socket <node>`` needs no router.
 * :mod:`repro.cluster.fleet` — spawn a local loopback fleet of real
   worker processes (ephemeral ports, two-phase fleet-file bootstrap).
-* :mod:`repro.cluster.loadgen` — the fleet-scale load harness:
-  zipf-skewed synthetic replay, p50/p95/p99 latency, per-tier hit
-  ratios, and byte-identity verification against direct generation.
 
 See ``docs/ARCHITECTURE.md`` ("The cluster") for the full design.
 """
 
 from .fleet import LocalFleet
-from .loadgen import (
-    KeySpec,
-    ReplayStats,
-    Workload,
-    build_workload,
-    replay,
-    run_harness,
-    zipf_sequence,
-)
 from .peers import FleetClient, Membership
 from .ring import HashRing
 
 __all__ = [
     "FleetClient",
     "HashRing",
-    "KeySpec",
     "LocalFleet",
     "Membership",
-    "ReplayStats",
-    "Workload",
-    "build_workload",
-    "replay",
-    "run_harness",
-    "zipf_sequence",
 ]

@@ -14,7 +14,6 @@ helpers::
     jpg serve -p XCV100 --base b.bit --socket /tmp/jpg.sock --cache-dir .jpgcache
     jpg serve -p XCV100 --base b.bit --tcp 0.0.0.0:4100 --cache-dir .jpgcache
     jpg submit --socket /tmp/jpg.sock --xdl m.xdl --ucf m.ucf -o out.bit
-    jpg loadgen --workload demo -n 1000 --nodes 3 --out BENCH_10.json
 
 ``jpg batch`` is the Figure-4 workflow: a JSON manifest lists N module
 versions (xdl/ucf/region each) and the engine generates all their partials
@@ -477,10 +476,10 @@ def _cmd_serve(args) -> int:
         peer_fetch = functools.partial(peers.fetch, skip=args.node_id)
     backend = args.backend
     if backend == "warm":
-        from ..exec import WarmPoolBackend
+        from ..exec import WarmPool
 
         # --workers sizes the pool as well as the scheduler
-        backend = WarmPoolBackend(args.workers)
+        backend = WarmPool(args.workers)
     service = GenerationService(
         args.part,
         base,
@@ -530,40 +529,6 @@ def _cmd_serve(args) -> int:
             peers.close()
     print("jpg serve: drained and stopped", file=sys.stderr)
     return EXIT_OK
-
-
-def _cmd_loadgen(args) -> int:
-    import json
-
-    from ..cluster import loadgen
-
-    if args.target:
-        wl = loadgen.build_workload(args.workload, keys=args.keys, seed=3)
-        sequence = loadgen.zipf_sequence(
-            len(wl.keys), args.requests, skew=args.skew, seed=args.seed
-        )
-        stats = loadgen.replay({args.target: args.target}, wl.keys, sequence,
-                               target=args.target, concurrency=args.concurrency)
-        report = {
-            "workload": args.workload, "cluster": True, "part": wl.part,
-            "keys": args.keys, "requests": args.requests,
-            "concurrency": args.concurrency, "nodes": 0, "skew": args.skew,
-            "results": [stats.to_entry()],
-            "verify": loadgen.verify_keys(wl, stats),
-        }
-    else:
-        report = loadgen.run_harness(
-            workload=args.workload, keys=args.keys, requests=args.requests,
-            concurrency=args.concurrency, nodes=args.nodes, skew=args.skew,
-            seed=args.seed, single_node=not args.no_single,
-            progress=lambda msg: print(f"jpg loadgen: {msg}", file=sys.stderr),
-        )
-    print(loadgen.report_table(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    return EXIT_OK if report["verify"].get("ok") else EXIT_FAILURE
 
 
 def _cmd_submit(args) -> int:
@@ -908,30 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "region, implies --lint); served partials must stay "
                         "inside these regions (T001/T002 vs the base)")
     p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser("loadgen", help="fleet-scale load harness: zipf-skewed "
-                                       "replay, latency quantiles, per-tier "
-                                       "hit ratios, byte-identity check")
-    p.add_argument("--workload", choices=["demo", "fig4"], default="demo")
-    p.add_argument("--keys", type=int, default=32,
-                   help="distinct request keys (default 32)")
-    p.add_argument("-n", "--requests", type=int, default=1000,
-                   help="requests per pass (default 1000)")
-    p.add_argument("-c", "--concurrency", type=int, default=4,
-                   help="client threads (default 4)")
-    p.add_argument("--nodes", type=int, default=3,
-                   help="fleet size for the cluster target (default 3)")
-    p.add_argument("--skew", type=float, default=1.1,
-                   help="zipf skew exponent (default 1.1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-single", action="store_true",
-                   help="skip the single-node baseline target")
-    p.add_argument("--target", metavar="ADDR",
-                   help="replay against this running endpoint instead of "
-                        "spawning a fleet (host:port or socket path)")
-    p.add_argument("--out", metavar="FILE",
-                   help="also write the JSON report here")
-    p.set_defaults(fn=_cmd_loadgen)
 
     p = sub.add_parser("submit", help="submit one generation request to a "
                                       "running jpg serve")

@@ -22,7 +22,7 @@ from .backend import (
     in_worker_process,
     mark_worker_process,
 )
-from .pool import WarmPool, WarmPoolBackend
+from .pool import WarmPool
 
 __all__ = [
     "BACKEND_NAMES",
@@ -31,7 +31,6 @@ __all__ = [
     "ExecError",
     "SerialBackend",
     "WarmPool",
-    "WarmPoolBackend",
     "default_workers",
     "get_backend",
     "in_worker_process",

@@ -8,10 +8,10 @@ with two implementations:
   default).  The reference semantics; the other backend must match its
   output byte-for-byte.  Callers that want concurrency inside one process
   (the serve scheduler) call ``run_one`` from their own threads.
-* ``"warm"`` — :class:`~repro.exec.pool.WarmPoolBackend`, the process
-  backend: a persistent :class:`~repro.exec.pool.WarmPool` of forked
-  workers, each holding a read-only copy of the base frames and its own
-  frame cache, answering over its control pipe.  Registered here by name
+* ``"warm"`` — :class:`~repro.exec.pool.WarmPool`, the process
+  backend: a persistent pool of forked workers, each holding a read-only
+  copy of the base frames and its own frame cache, answering over its
+  control pipe.  Registered here by name
   but defined in :mod:`repro.exec.pool`.
 
 Backends are engine-agnostic objects: ``run(engine, items)`` executes a
@@ -133,12 +133,12 @@ class SerialBackend(Backend):
 
 
 def _warm_backend():
-    """Construct a :class:`~repro.exec.pool.WarmPoolBackend` (imported
+    """Construct a :class:`~repro.exec.pool.WarmPool` (imported
     lazily: pool.py imports this module, so a top-level import would be
     circular)."""
-    from .pool import WarmPoolBackend
+    from .pool import WarmPool
 
-    return WarmPoolBackend()
+    return WarmPool()
 
 
 _BACKENDS = {

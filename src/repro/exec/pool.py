@@ -1,9 +1,10 @@
 """The warm worker pool: persistent forked workers over one base.
 
-BENCH_5 measured the honest problem with a per-batch process pool: on
-small batches the fork cost of a fresh ``ProcessPoolExecutor`` dominates
-and parallelism is a net loss.  The warm pool closes that gap by making
-every per-batch cost a per-*pool* cost:
+The first backend benchmark (BENCH_5, in git history) measured the
+honest problem with a per-batch process pool: on small batches the fork
+cost of a fresh ``ProcessPoolExecutor`` dominates and parallelism is a
+net loss.  The warm pool closes that gap by making every per-batch cost
+a per-*pool* cost:
 
 * workers are forked **once** and reused across batches and across serve
   requests;
@@ -13,14 +14,14 @@ every per-batch cost a per-*pool* cost:
 * each task and its reply are one message each way over the worker's
   control pipe.
 
-:class:`WarmPool` owns the lifecycle: spawn, recycle-on-crash (a dead
-worker is respawned in place and the task retried exactly once before
-:class:`~repro.errors.ExecError`), and shutdown.  :class:`WarmPoolBackend`
-adapts the pool to the :class:`~repro.exec.backend.Backend` interface so
-``backend="warm"`` plugs into ``BatchJpg`` and the serve scheduler
-unchanged.
+:class:`WarmPool` is the ``backend="warm"``
+:class:`~repro.exec.backend.Backend`, so it plugs into ``BatchJpg`` and
+the serve scheduler unchanged.  It owns the whole lifecycle: spawn,
+recycle-on-crash (a dead worker is respawned in place and the task
+retried exactly once before :class:`~repro.errors.ExecError`), and
+shutdown.
 
-Observability: the backend reports ``exec.pool.*`` metrics through the
+Observability: the pool reports ``exec.pool.*`` metrics through the
 bound engine's registry — gauge ``workers_alive``, counters ``tasks``,
 ``recycles`` and ``retries`` (see docs/API.md's metrics catalog).
 """
@@ -57,19 +58,23 @@ class _Seat:
     conn: Any
 
 
-class WarmPool:
-    """A persistent pool of forked workers over one base.
+class WarmPool(Backend):
+    """``backend="warm"`` — a persistent pool of forked workers over one base.
 
     Construct once, bind lazily to the first engine that runs on it, and
     keep it hot: ``BatchJpg`` batches and serve-scheduler requests both
     dispatch through :meth:`run_task`, and nothing is torn down between
     them.  Thread-safe — concurrent callers each check out an idle seat
     from an internal queue, so at most one task is in flight per worker.
+    One lock guards the seats, the lifecycle and every counter.
 
     ``workers`` defaults to the :func:`~repro.exec.backend.
     default_workers` policy (``JPG_WORKERS`` wins, then CPU count capped
-    at 8).
+    at 8).  ``close()`` shuts the pool down (call it from
+    ``engine.close()`` as usual).
     """
+
+    name = "warm"
 
     def __init__(self, workers: int | None = None):
         self.workers = workers
@@ -80,15 +85,22 @@ class WarmPool:
         self._initargs: tuple | None = None
         self._ctx = None
         self._closed = False
-        # lifetime counters, surfaced as exec.pool.* metrics by the backend
+        # lifetime counters, surfaced as exec.pool.* metrics
         self.tasks = 0
         self.recycles = 0
         self.retries = 0
+        # frame-cache lookups as the workers reported them
+        self._hits = 0
+        self._misses = 0
+        # counter totals already pushed into the engine's registry, so
+        # repeated runs report deltas rather than running totals
+        self._reported: dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
     def planned_workers(self) -> int:
-        """How many workers this pool runs (or will run once bound)."""
+        """How many workers this pool runs (or will run once bound); sizes
+        the serve scheduler's shepherd threads."""
         if self._seats:
             return len(self._seats)
         return self.workers or default_workers()
@@ -97,8 +109,8 @@ class WarmPool:
         """Spawn the workers over ``engine``'s base.
 
         Idempotent for the same engine; binding a second engine raises
-        (one pool serves one base).  Called lazily by
-        :class:`WarmPoolBackend` on first use.
+        (one pool serves one base).  Called lazily by :meth:`run` and
+        :meth:`run_one` on first use.
         """
         with self._lock:
             if self._engine is not None:
@@ -134,8 +146,7 @@ class WarmPool:
             engine.metrics.gauge("exec.pool.workers_alive", n)
 
     def _spawn(self, idx: int) -> _Seat:
-        """Start the worker for seat ``idx`` (caller holds the lock or is
-        single-threaded in bind)."""
+        """Start the worker for seat ``idx`` (caller holds the lock)."""
         from .worker import warm_worker_main
 
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -190,6 +201,31 @@ class WarmPool:
 
     # -- dispatch -------------------------------------------------------------
 
+    def run(self, engine, items, workers=None):
+        """Shepherd the manifest into the pool — one feeder thread per
+        worker — and ingest replies in manifest order."""
+        if not items:
+            return []
+        self.bind(engine, workers)
+        engine.metrics.count("exec.tasks", len(items))
+        n = min(self.planned_workers(), len(items))
+        with engine.metrics.stage("exec.pool_map", backend=self.name,
+                                  items=len(items), workers=n):
+            with ThreadPoolExecutor(max_workers=n,
+                                    thread_name_prefix="warm-shepherd") as shepherds:
+                raw = list(shepherds.map(self.run_task, items))
+        results = [self._ingest(engine, r) for r in raw]
+        self._gauge(engine)
+        return results
+
+    def run_one(self, engine, item):
+        """Generate a single item on the hot pool (the serving path)."""
+        self.bind(engine, None)
+        engine.metrics.count("exec.tasks")
+        result = self._ingest(engine, self.run_task(item))
+        self._gauge(engine)
+        return result
+
     def run_task(self, item: "BatchItem") -> tuple["BatchItemResult", dict]:
         """Dispatch one item to an idle worker; its (result, metrics
         snapshot) reply.
@@ -213,13 +249,15 @@ class WarmPool:
                 except (EOFError, OSError, BrokenPipeError):
                     self._recycle(idx)
                     if attempt == 0:
-                        self.retries += 1
+                        with self._lock:
+                            self.retries += 1
                         continue
                     raise ExecError(
                         f"warm pool lost a worker twice on {item.name!r}; "
                         f"giving up after one recycle-and-retry"
                     ) from None
-                self.tasks += 1
+                with self._lock:
+                    self.tasks += 1
                 if kind == "err":
                     raise ExecError(
                         f"warm-pool worker failed on {item.name!r}:\n{payload}"
@@ -227,57 +265,6 @@ class WarmPool:
                 return payload
         finally:
             self._idle.put(idx)
-
-
-class WarmPoolBackend(Backend):
-    """``backend="warm"`` — a private :class:`WarmPool` behind the standard
-    :class:`~repro.exec.backend.Backend` interface.
-
-    Binding follows :meth:`WarmPool.bind`: the first engine that runs
-    wins, and ``close()`` shuts the pool down (call it from
-    ``engine.close()`` as usual).
-    """
-
-    name = "warm"
-
-    def __init__(self, workers: int | None = None):
-        self.pool = WarmPool(workers)
-        self._lock = threading.Lock()
-        # frame-cache lookups as the workers reported them
-        self._hits = 0
-        self._misses = 0
-        # counter totals already pushed into the engine's registry, so
-        # repeated runs report deltas rather than running totals
-        self._reported: dict[str, int] = {}
-
-    def planned_workers(self) -> int:
-        """Worker count the pool runs with (sizes the scheduler's shepherds)."""
-        return self.pool.planned_workers()
-
-    def run(self, engine, items, workers=None):
-        """Shepherd the manifest into the warm pool — one feeder thread
-        per worker — and ingest replies in manifest order."""
-        if not items:
-            return []
-        self.pool.bind(engine, workers)
-        engine.metrics.count("exec.tasks", len(items))
-        n = min(self.pool.planned_workers(), len(items))
-        with engine.metrics.stage("exec.pool_map", backend=self.name,
-                                  items=len(items), workers=n):
-            with ThreadPoolExecutor(max_workers=n,
-                                    thread_name_prefix="warm-shepherd") as pool:
-                raw = list(pool.map(self.pool.run_task, items))
-        results = [self._ingest(engine, r) for r in raw]
-        self._gauge(engine)
-        return results
-
-    def run_one(self, engine, item):
-        """Generate a single item on the hot pool (the serving path)."""
-        self.pool.bind(engine, None)
-        engine.metrics.count("exec.tasks")
-        result = self._ingest(engine, self.pool.run_task(item))
-        self._gauge(engine)
-        return result
 
     def _ingest(self, engine, reply):
         """Fold one worker reply into the parent: merge its metrics
@@ -293,13 +280,12 @@ class WarmPoolBackend(Backend):
     def _gauge(self, engine) -> None:
         """Refresh the pool's ``exec.pool.*`` gauges and counters after a
         run (counters are deltas since the previous refresh)."""
-        pool = self.pool
-        alive = sum(1 for s in pool._seats if s.process.is_alive())
-        engine.metrics.gauge("exec.pool.workers_alive", alive)
         with self._lock:
-            for name, total in (("exec.pool.tasks", pool.tasks),
-                                ("exec.pool.recycles", pool.recycles),
-                                ("exec.pool.retries", pool.retries)):
+            alive = sum(1 for s in self._seats if s.process.is_alive())
+            engine.metrics.gauge("exec.pool.workers_alive", alive)
+            for name, total in (("exec.pool.tasks", self.tasks),
+                                ("exec.pool.recycles", self.recycles),
+                                ("exec.pool.retries", self.retries)):
                 prev = self._reported.get(name, 0)
                 if total > prev:
                     engine.metrics.count(name, total - prev)
@@ -311,7 +297,3 @@ class WarmPoolBackend(Backend):
 
         with self._lock:
             return CacheStats(self._hits, self._misses)
-
-    def close(self) -> None:
-        """Shut the pool down.  Idempotent."""
-        self.pool.close()

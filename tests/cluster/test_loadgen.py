@@ -1,11 +1,11 @@
-"""Load harness pieces and the loopback-fleet end-to-end runs.
+"""The replay load generator and the loopback-fleet end-to-end runs.
 
 The e2e tests spawn real ``jpg serve`` worker processes (the same code a
 distributed deployment runs), replay a zipf-skewed stream with every
-client routing through its own ``FleetClient``, and assert the
-acceptance properties directly: zero lost requests (including with any
-node SIGKILLed mid-replay), warm-pass disk hits, and byte identity
-against direct generation.
+client routing through its own ``FleetClient`` (:mod:`tests.cluster.
+replay`), and assert the acceptance properties directly: zero lost
+requests (including with any node SIGKILLed mid-replay), warm-pass cache
+hits, and byte identity against direct generation.
 """
 
 import collections
@@ -14,10 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import HashRing, LocalFleet, loadgen
-from repro.cluster.loadgen import (
-    KeySpec, ReplayStats, Workload, replay, verify_keys, zipf_sequence,
-)
+from repro.cluster import HashRing, LocalFleet
+from tests.cluster.replay import replay, salted_keys, verify_keys, zipf_sequence
 
 pytestmark = [pytest.mark.cluster, pytest.mark.serve]
 
@@ -41,41 +39,6 @@ class TestZipf:
         assert all(700 < n < 1300 for n in counts.values())
 
 
-class TestReplayStats:
-    def test_entry_shape_and_ratios(self):
-        stats = ReplayStats(target="t")
-        stats.ok, stats.errors, stats.seconds = 8, 2, 2.0
-        stats.requests = 10
-        stats.sources = {"disk": 6, "generated": 2}
-        for v in (0.01, 0.02, 0.03, 0.04):
-            stats.histogram.record(v)
-        entry = stats.to_entry()
-        assert entry["rps"] == pytest.approx(5.0)
-        assert entry["hit_disk"] == pytest.approx(0.75)
-        assert entry["generated"] == pytest.approx(0.25)
-        assert entry["errors"] == 2
-        assert entry["p50_ms"] == pytest.approx(25.0, abs=1.0)
-
-
-def demo_workload(demo_project, keys=8):
-    """Expand the session demo project into a salted key space (the
-    fixture equivalent of :func:`loadgen.build_workload`)."""
-    templates = [
-        (region, version, mv)
-        for (region, version), mv in sorted(demo_project.versions.items())
-        if version != "base"
-    ]
-    specs = []
-    for i in range(keys):
-        region, version, mv = templates[i % len(templates)]
-        specs.append(KeySpec(
-            name=f"{region}/{version}#k{i}",
-            xdl=mv.xdl, ucf=mv.ucf,
-            region=demo_project.regions[region].to_ucf(),
-        ))
-    return Workload("demo", "XCV50", demo_project, specs)
-
-
 @pytest.fixture(scope="module")
 def live_fleet(demo_project, tmp_path_factory):
     """A running 3-node loopback fleet over the demo base."""
@@ -90,28 +53,40 @@ def live_fleet(demo_project, tmp_path_factory):
 
 class TestFleetEndToEnd:
     def test_replay_cold_then_warm(self, demo_project, live_fleet):
-        wl = demo_workload(demo_project, keys=6)
-        seq = zipf_sequence(len(wl.keys), 36, skew=1.1, seed=1)
-        cold = replay(live_fleet.addresses, wl.keys, seq,
-                      target="cold", concurrency=3)
-        assert cold.requests == 36 and cold.errors == 0
+        """The fleet smoke: 1000 zipf requests over 32 keys from 4
+        clients, cold then warm, losing nothing and serving every key
+        the bytes direct generation gives."""
+        keys = salted_keys(demo_project, 32)
+        seq = zipf_sequence(len(keys), 1000, skew=1.1, seed=1)
+        cold = replay(live_fleet.addresses, keys, seq,
+                      target="cold", concurrency=4)
+        assert cold.requests == 1000
+        assert cold.errors == 0, cold.error_samples
+        assert cold.mismatches == 0
         assert cold.sources.get("generated", 0) >= 1
-        warm = replay(live_fleet.addresses, wl.keys, seq,
-                      target="warm", concurrency=3)
-        assert warm.errors == 0
+        warm = replay(live_fleet.addresses, keys, seq,
+                      target="warm", concurrency=4)
+        assert warm.requests == 1000
+        assert warm.errors == 0, warm.error_samples
+        assert warm.mismatches == 0
         # every key generated at most once fleet-wide: the warm pass is
         # served entirely from the tiered cache
         assert warm.sources.get("generated", 0) == 0
-        assert warm.sources.get("disk", 0) + warm.sources.get("peer", 0) == 36
-        assert warm.rps > 0 and warm.histogram.count == 36
+        assert warm.sources.get("disk", 0) + warm.sources.get("peer", 0) == 1000
+        assert warm.rps > 0 and warm.histogram.count == 1000
+        # the warm pass served the cold pass's bytes, key for key
+        assert warm.key_sha == {k: cold.key_sha[k] for k in warm.key_sha}
+        verdict = verify_keys(demo_project, keys, warm, sample=8)
+        assert verdict["ok"], verdict
+        assert verdict["identical"] == verdict["sampled"] == 8
 
     def test_byte_identity_against_direct_generation(self, demo_project,
                                                      live_fleet):
-        wl = demo_workload(demo_project, keys=4)
-        seq = zipf_sequence(len(wl.keys), 12, skew=1.0, seed=2)
-        stats = replay(live_fleet.addresses, wl.keys, seq, concurrency=2)
+        keys = salted_keys(demo_project, 4)
+        seq = zipf_sequence(len(keys), 12, skew=1.0, seed=2)
+        stats = replay(live_fleet.addresses, keys, seq, concurrency=2)
         assert stats.errors == 0
-        verdict = verify_keys(wl, stats, sample=3)
+        verdict = verify_keys(demo_project, keys, stats, sample=3)
         assert verdict["ok"], verdict
         assert verdict["identical"] == verdict["sampled"] == 3
 
@@ -126,15 +101,15 @@ class TestFleetEndToEnd:
         with LocalFleet("XCV50", base_path, nodes=3,
                         workdir=str(tmp_path / "work")) as fleet:
             # 10 keys: every node owns some of the stream's later keys
-            wl = demo_workload(demo_project, keys=10)
-            seq = zipf_sequence(len(wl.keys), 60, skew=1.1, seed=3)
+            keys = salted_keys(demo_project, 10)
+            seq = zipf_sequence(len(keys), 60, skew=1.1, seed=3)
             ring = HashRing(fleet.addresses)
             owned = [i for i in seq[30:]
-                     if ring.owner(wl.keys[i].request().digest()) == victim]
+                     if ring.owner(keys[i].request().digest()) == victim]
             assert owned, "the victim must own keys requested after the kill"
             # one cheap pass so every node holds its shard's bytes
-            warmup = replay(fleet.addresses, wl.keys,
-                            zipf_sequence(len(wl.keys), 12, seed=3),
+            warmup = replay(fleet.addresses, keys,
+                            zipf_sequence(len(keys), 12, seed=3),
                             concurrency=2)
             assert warmup.errors == 0
             killed = threading.Event()
@@ -144,22 +119,10 @@ class TestFleetEndToEnd:
                     killed.set()
                     fleet.kill(victim)             # SIGKILL, no drain
 
-            stats = replay(fleet.addresses, wl.keys, seq,
+            stats = replay(fleet.addresses, keys, seq,
                            concurrency=3, on_progress=chaos)
             assert killed.is_set()
             assert stats.requests == 60
             assert stats.errors == 0, stats.error_samples
             assert stats.ok == 60
             assert stats.mismatches == 0           # failover bytes identical
-
-    def test_report_table_renders(self, demo_project, live_fleet):
-        wl = demo_workload(demo_project, keys=4)
-        seq = zipf_sequence(len(wl.keys), 8, seed=5)
-        stats = replay(live_fleet.addresses, wl.keys, seq, target="probe",
-                       concurrency=2)
-        report = {
-            "workload": "demo", "results": [stats.to_entry()],
-            "verify": verify_keys(wl, stats, sample=2),
-        }
-        text = loadgen.report_table(report)
-        assert "probe" in text and "byte-identical" in text

@@ -540,11 +540,14 @@ class TestServeSubmit:
 class TestServeSubmitErrors:
     def test_cluster_command_is_gone(self, capsys):
         """Clients route across a fleet themselves: there is no router
-        command to start."""
-        with pytest.raises(SystemExit) as exc:
-            main(["cluster", "--spawn", "3"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        command to start, and the fleet load harness lives in the
+        cluster test suite, not behind ``jpg loadgen``."""
+        for argv in (["cluster", "--spawn", "3"],
+                     ["loadgen", "-n", "10", "--nodes", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_submit_without_server(self, tmp_path, capsys):
         rc = main(["submit", "--socket", str(tmp_path / "absent.sock"),

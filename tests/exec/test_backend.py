@@ -43,10 +43,10 @@ class TestGetBackend:
             assert get_backend(name).name == name
 
     def test_warm_resolves_to_pool_backend(self):
-        from repro.exec import WarmPoolBackend
+        from repro.exec import WarmPool
 
         be = get_backend("warm")
-        assert isinstance(be, WarmPoolBackend)
+        assert isinstance(be, WarmPool)
         assert get_backend(be) is be
 
 

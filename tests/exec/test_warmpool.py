@@ -22,6 +22,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -29,7 +31,7 @@ import pytest
 from repro.batch import BatchJpg
 from repro.batch.engine import items_from_project
 from repro.errors import ExecError
-from repro.exec import WarmPool, WarmPoolBackend
+from repro.exec import WarmPool
 
 pytestmark = pytest.mark.warmpool
 
@@ -66,10 +68,10 @@ def _wait_dead(pids, timeout: float = 5.0) -> bool:
 def warm_engine(demo_project):
     """A BatchJpg on a 2-worker warm pool, closed (and orphan-checked)
     after the test."""
-    backend = WarmPoolBackend(workers=2)
-    engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
-    yield engine, backend.pool
-    pids = list(_alive(backend.pool).values())
+    pool = WarmPool(workers=2)
+    engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=pool)
+    yield engine, pool
+    pids = list(_alive(pool).values())
     engine.close()
     assert _wait_dead(pids), f"orphaned warm workers: {pids}"
 
@@ -126,11 +128,10 @@ class TestPoolLifecycle:
         """Drain-on-shutdown hygiene: after close(), every worker pid is
         gone.  (The pool no longer creates shared-memory segments, so
         there is nothing under /dev/shm to leak.)"""
-        backend = WarmPoolBackend(workers=2)
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
+        pool = WarmPool(workers=2)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=pool)
         report = engine.run(items_from_project(demo_project)[:2])
         assert report.ok
-        pool = backend.pool
         pids = list(_alive(pool).values())
         assert len(pids) == 2
         engine.close()
@@ -154,9 +155,9 @@ class TestPoolLifecycle:
         assert len(_alive(pool)) == 2
 
     def test_rebinding_to_another_engine_raises(self, demo_project):
-        backend = WarmPoolBackend(workers=1)
-        a = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
-        b = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
+        pool = WarmPool(workers=1)
+        a = BatchJpg("XCV50", demo_project.base_bitfile, backend=pool)
+        b = BatchJpg("XCV50", demo_project.base_bitfile, backend=pool)
         items = items_from_project(demo_project)[:1]
         try:
             assert a.run(items).ok
@@ -171,20 +172,19 @@ class TestPoolLifecycle:
             pool.run_task(None)
 
     def test_use_after_close_raises(self, demo_project):
-        backend = WarmPoolBackend(workers=1)
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
+        pool = WarmPool(workers=1)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=pool)
         assert engine.run(items_from_project(demo_project)[:1]).ok
         engine.close()
         with pytest.raises(ExecError, match="closed"):
-            backend.pool.bind(engine)
+            pool.bind(engine)
 
 
 class TestBackendIntegration:
     def test_planned_workers_sizes_the_scheduler(self, demo_project):
         """The serve scheduler asks the backend for its pool size; a warm
         backend answers its fixed worker count (one shepherd per worker)."""
-        backend = WarmPoolBackend(workers=3)
-        assert backend.planned_workers() == 3
+        assert WarmPool(workers=3).planned_workers() == 3
         from repro.exec import SerialBackend
 
         assert SerialBackend().planned_workers() is None
@@ -202,6 +202,41 @@ class TestBackendIntegration:
         gauges = engine.metrics.snapshot()["gauges"]
         assert gauges["exec.pool.workers_alive"]["last"] == 2
 
+    def test_concurrent_callers_lose_no_counts(self, demo_project):
+        """More callers than workers, more workers than cores, and a tiny
+        switch interval: every task is counted once in the pool and in
+        the exec.pool.tasks deltas."""
+        pool = WarmPool(workers=3)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=pool)
+        items = items_from_project(demo_project)
+        callers, per_caller = 6, 12
+        errors = []
+
+        def caller(offset):
+            try:
+                for i in range(per_caller):
+                    assert engine.run_one(items[(offset + i) % len(items)]).ok
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not errors, errors
+        assert pool.tasks == callers * per_caller
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["exec.pool.tasks"] == callers * per_caller
+
 
 def _write_to_base(engine, item):
     """Stands in for a task that (wrongly) edits the shared base."""
@@ -217,8 +252,8 @@ class TestReadOnlyBase:
         from repro.exec import worker
 
         monkeypatch.setattr(worker, "_run_item", _write_to_base)
-        backend = WarmPoolBackend(workers=1)
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile,
+                          backend=WarmPool(workers=1))
         try:
             with pytest.raises(ExecError, match="read-only"):
                 engine.run(items_from_project(demo_project)[:1])

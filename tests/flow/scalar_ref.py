@@ -7,9 +7,10 @@ The classes here override only the cost hooks (``_total_cost`` and
 straightforward per-net / dict implementations the array code was derived
 from.  Both consume the seeded RNG in exactly the same order and compute
 bit-identical costs, so a given seed must produce the same sites and the
-same PIPs — ``tests/flow/test_vectorized.py`` asserts that, and
-``tools/perf_gate.py --workload flow`` and ``benchmarks/bench_pnr_time.py``
-time the array engine against this baseline.
+same PIPs — ``tests/flow/test_vectorized.py`` asserts that, on small
+designs and on both :func:`~repro.workloads.flow_cases` designs, and
+``benchmarks/bench_pnr_time.py`` times the array engine against this
+baseline.
 
 :func:`scalar_engines` swaps the flow driver's ``place``/``route`` for the
 reference versions, so the real :func:`~repro.flow.driver.run_flow` can be

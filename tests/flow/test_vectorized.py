@@ -145,6 +145,23 @@ class TestFlowEquivalence:
         assert placement_of(scalar.design) == placement_of(array.design)
         assert routing_of(scalar.design) == routing_of(array.design)
 
+    def test_scale_base_identical_across_engines(self):
+        """The XCV1000 flow case: 12 constrained regions on the largest
+        catalog part."""
+        _, part, nl, cons = flow_cases()[1]
+        with scalar_engines():
+            scalar = run_flow(nl, part, cons, seed=5)
+        array = run_flow(nl, part, cons, seed=5)
+        assert placement_of(scalar.design) == placement_of(array.design)
+        assert routing_of(scalar.design) == routing_of(array.design)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["fig4-XCV100", "scale-XCV1000"])
+    def test_array_engine_repeats_with_fixed_seed(self, case):
+        _, part, nl, cons = flow_cases()[case]
+        first, second = (run_flow(nl, part, cons, seed=5) for _ in range(2))
+        assert placement_of(first.design) == placement_of(second.design)
+        assert routing_of(first.design) == routing_of(second.design)
+
     def test_guide_adoption_unaffected_by_engine(self):
         nl, _ = build_counter_netlist(6)
         base = run_flow(nl, "XCV50", seed=2)

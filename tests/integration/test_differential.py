@@ -6,7 +6,9 @@ on the final device state:
 * **BatchJpg** (shared base, frame cache) emitting a partial that is then
   applied to a clone of the base configuration — on *every* execution
   backend: serial and warm (the conformance matrix that keeps
-  the worker-process pool honest);
+  the worker-process pool honest, also run at paper and scale size:
+  Figure 4's 10 partials and 108 XCV1000 partials, on a first run and a
+  repeat on the same engine);
 * the sequential **Jpg** single-shot path (`make_partial`), whose partial
   must be byte-identical to BatchJpg's;
 * **JBitsDiff** core extraction/replay (`repro.baselines.jbitsdiff`),
@@ -24,12 +26,13 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.jbitsdiff import extract_core, replay_core
-from repro.batch import BatchItem, BatchJpg
+from repro.batch import BatchItem, BatchJpg, items_from_project
 from repro.bitstream.frames import FrameMemory, frame_runs
 from repro.bitstream.reader import apply_bitstream, parse_bitstream
 from repro.core.jpg import Jpg
 from repro.exec import BACKEND_NAMES
 from repro.jbits import JBits
+from repro.workloads import figure4_plan, make_project, scale_plan
 
 from ..conftest import FAMILY_PARTS, family_project, random_family_project
 
@@ -179,6 +182,55 @@ class TestBackendConformance:
             label_a=f"base+{backend} partial",
             label_b="Jpg merged full configuration",
         )
+
+
+#: The backend identity matrix's workloads: the paper's Figure-4 scenario
+#: and a 12-region x 9-variant XCV1000, where the pool has room to run
+#: items in parallel.
+MATRIX_WORKLOADS = {
+    "fig4-XCV100": lambda: make_project(
+        "fig4", "XCV100", figure4_plan("XCV100"), seed=5),
+    "scale-XCV1000": lambda: make_project(
+        "scale", "XCV1000", scale_plan("XCV1000", regions=12, variants=9),
+        seed=5),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MATRIX_WORKLOADS))
+def matrix_project(request):
+    return MATRIX_WORKLOADS[request.param]()
+
+
+class TestBackendIdentityMatrix:
+    def test_first_and_repeat_runs_byte_identical(self, matrix_project):
+        """Every backend, on a fresh engine and again on the same engine
+        (pool hot, caches seeded), emits the first serial run's bytes."""
+        project = matrix_project
+        items = items_from_project(project)
+        runs = {}
+        for backend in BACKEND_NAMES:
+            engine = BatchJpg(project.part, project.base_bitfile,
+                              base_design=project.base_flow.design,
+                              backend=backend, max_workers=2)
+            try:
+                for run in ("first", "repeat"):
+                    report = engine.run(items)
+                    assert report.ok, [f.error for f in report.failures]
+                    runs[backend, run] = {
+                        name: partial.data
+                        for name, partial in report.partials().items()
+                    }
+            finally:
+                engine.close()
+        reference = runs["serial", "first"]
+        assert len(reference) == len(items)
+        for (backend, run), partials in runs.items():
+            assert partials.keys() == reference.keys()
+            diverged = sorted(n for n in reference if partials[n] != reference[n])
+            assert not diverged, (
+                f"{backend}/{run} run diverges from serial on "
+                f"{len(diverged)} partial(s): {diverged[:5]}"
+            )
 
 
 class TestBatchVsJBitsDiff:

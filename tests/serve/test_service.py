@@ -96,10 +96,10 @@ class TestWarmBackend:
         """On a warm backend the workers do the clears, so the service's
         frame-cache stats must come from them, not from the parent's idle
         cache: every generated request is one lookup."""
-        from repro.exec import WarmPoolBackend
+        from repro.exec import WarmPool
 
         svc = GenerationService("XCV50", demo_project.base_bitfile,
-                                backend=WarmPoolBackend(workers=2))
+                                backend=WarmPool(workers=2))
         try:
             requests = [request_for(demo_project, region, version)
                         for region, version in (("r1", "up"), ("r1", "down"),
