@@ -6,7 +6,9 @@ coordinate translations everything else uses:
 
 * tile resource bit -> (linear frame index, bit offset within frame),
 * routing-node encoding for the router (tile, wire) <-> integer id,
-* canonicalization of chip-spanning wires (long lines, global clocks).
+* canonicalization of chip-spanning wires (long lines, global clocks),
+* the routing graph: each node's outgoing PIPs, memoized per device so
+  every flow, the oracle router and JRoute walk one shared graph.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ from .geometry import Geometry, IobSite, Side
 from .resources import BitCoord, pip_coord
 from .wires import NUM_WIRES, WIRE_KIND, WireKind
 
+#: Nodes whose successors one device memoizes; filling the memo past this
+#: clears it, bounding it (about 40 MB on XCV1000) however many flows
+#: route.  The XCV1000 benchmark's 121 flows visit 10,800 nodes.
+SUCCESSOR_MEMO_MAX = 1 << 14
+
+#: Wire kinds a search may only enter when they are the sink being aimed
+#: for (never route *through* someone's input pin).
+_GATED_KINDS = frozenset((WireKind.PIN_IN, WireKind.IO_OUT))
+
 
 class Device:
     """A Virtex-class part: geometry + resources + routing fabric."""
@@ -29,6 +40,8 @@ class Device:
         self.geometry = Geometry(self.part)
         self.rows = self.geometry.rows
         self.cols = self.geometry.cols
+        #: :meth:`successors` memo; hot loops may ``get`` from it directly
+        self.successor_memo: dict[int, tuple] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -145,6 +158,47 @@ class Device:
         self.geometry.check_tile(row, col)
         return [p for p in wires.PIP_TABLE if self.pip_valid(row, col, p)]
 
+    # -- routing graph ------------------------------------------------------------
+
+    def fanout(self, node: int):
+        """Yield (next node, pip ref (r, c, index)) for all outgoing PIPs.
+
+        Long lines fan out along their whole span; global clock lines are
+        dedicated and yield nothing.
+        """
+        r, c, w = self.node_of(node)
+        kind = WIRE_KIND[w]
+        fanout = wires.pips_by_src().get(w, ())
+        if kind is WireKind.GCLK:
+            return
+        if kind is WireKind.LONG_H or kind is WireKind.LONG_V:
+            span = ([(r, col) for col in range(self.cols)] if kind is WireKind.LONG_H
+                    else [(row, c) for row in range(self.rows)])
+            local = [pip for odr, odc, pip in fanout if odr == 0 and odc == 0]
+            for tr, tc in span:
+                for pip in local:
+                    yield self.node_id(tr, tc, pip.dst), (tr, tc, pip.index)
+            return
+        for odr, odc, pip in fanout:
+            orow, ocol = r + odr, c + odc
+            if 0 <= orow < self.rows and 0 <= ocol < self.cols:
+                yield self.node_id(orow, ocol, pip.dst), (orow, ocol, pip.index)
+
+    def successors(self, node: int) -> tuple:
+        """Memoized :meth:`fanout` of ``node``: ``(next node, pip ref,
+        gated)`` entries, where ``gated`` marks a pin wire a search may
+        only enter as its own sink."""
+        entries = self.successor_memo.get(node)
+        if entries is None:
+            entries = tuple(
+                (nxt, pip_ref, WIRE_KIND[nxt % NUM_WIRES] in _GATED_KINDS)
+                for nxt, pip_ref in self.fanout(node)
+            )
+            if len(self.successor_memo) >= SUCCESSOR_MEMO_MAX:
+                self.successor_memo.clear()
+            self.successor_memo[node] = entries
+        return entries
+
     # -- convenience -----------------------------------------------------------
 
     def full_bitstream_bytes_estimate(self) -> int:
@@ -162,7 +216,8 @@ def _get_device_canonical(canonical_name: str) -> Device:
 
 
 def get_device(part_name: str) -> Device:
-    """Shared, cached Device instances (they are immutable)."""
+    """Shared, cached Device instances (immutable apart from the routing
+    graph memo, which only caches a pure function of the node)."""
     from .family import normalize_part_name
 
     return _get_device_canonical(normalize_part_name(part_name))

@@ -14,14 +14,14 @@ recorded and bitgen permutes the truth table accordingly (``pin_map``).
 Clock nets do not use the general graph: they ride the dedicated global
 clock lines, activating one ``GCLKg -> Sx_CLK`` PIP per sink slice.
 
-The PathFinder state keeps per-node present usage and history in flat
-numpy arrays indexed by node id, with a live python list of each node's
-full cost (``base * (1 + pres_fac*occ) * (1 + history)``) maintained
-incrementally as occupancy changes — A* expansion reads one list element
-per neighbor instead of re-deriving kind/base/occupancy/history per
-visit.  The overuse sweep and history update at each iteration boundary
-are single vectorized passes, and per-node adjacency (successor, PIP ref,
-pin-gating flag) is memoized across searches.
+The routing graph belongs to the shared :class:`~repro.devices.Device`:
+its memoized successor tuples (next node, PIP ref, pin-gating flag) serve
+every search of every flow on the part.  Per flow, present usage and
+history are zero-filled numpy arrays over node ids, and ``cost`` is a
+python list of each node's full cost (``base * (1 + pres_fac*occ) *
+(1 + history)``) patched as occupancy changes, so A* reads one element per
+neighbor.  Iteration-boundary sweeps visit only the nodes the flow's
+trees occupy, so a flow costs what its module costs.
 
 A dict-congestion reference implementation lives in
 ``tests/flow/scalar_ref.py`` as a subclass overriding
@@ -51,10 +51,8 @@ from .ncd import NcdDesign, PhysNet, SinkRef
 _HOP_COST = 0.05
 #: Admissible per-tile lower bound for A* (cheapest way to cross a tile).
 _ASTAR_PER_TILE = 0.20
-
-#: Wire kinds a search may only enter when they are the sink being aimed
-#: for (never route *through* someone's input pin).
-_GATED_KINDS = frozenset((WireKind.PIN_IN, WireKind.IO_OUT))
+#: Per-wire-index base cost (an idle node's cost is ``_BASE_W[w]``).
+_BASE_W = [_HOP_COST + WIRE_DELAY_NS[WIRE_KIND[w]] for w in range(NUM_WIRES)]
 
 
 @dataclass
@@ -107,11 +105,7 @@ class Router:
         self.hist_fac = hist_fac
         self.guide = guide
         self.stats = RoutingStats()
-        # per-wire-index base cost (an idle node's cost is _base_w[w])
-        self._base_w = [_HOP_COST + WIRE_DELAY_NS[WIRE_KIND[w]] for w in range(NUM_WIRES)]
-        self._pips_by_src = W.pips_by_src()
         self._locked_nodes: set[int] = set()
-        self._adj: dict[int, tuple] = {}   # memoized adjacency
 
     # -- public -----------------------------------------------------------------
 
@@ -273,42 +267,7 @@ class Router:
 
     def _neighbors(self, node: int):
         """Yield (next node, pip ref (r, c, index)) for all outgoing PIPs."""
-        dev = self.device
-        r, c, w = dev.node_of(node)
-        kind = WIRE_KIND[w]
-        fanout = self._pips_by_src.get(w, ())
-        if kind is WireKind.LONG_H:
-            for col in range(dev.cols):
-                for odr, odc, pip in fanout:
-                    if odr == 0 and odc == 0:
-                        yield dev.node_id(r, col, pip.dst), (r, col, pip.index)
-            return
-        if kind is WireKind.LONG_V:
-            for row in range(dev.rows):
-                for odr, odc, pip in fanout:
-                    if odr == 0 and odc == 0:
-                        yield dev.node_id(row, c, pip.dst), (row, c, pip.index)
-            return
-        if kind is WireKind.GCLK:
-            return  # clock lines are handled by _route_clock
-        for odr, odc, pip in fanout:
-            orow, ocol = r + odr, c + odc
-            if 0 <= orow < dev.rows and 0 <= ocol < dev.cols:
-                yield dev.node_id(orow, ocol, pip.dst), (orow, ocol, pip.index)
-
-    def _adjacency(self, node: int) -> tuple:
-        """Memoized successor tuple for the A* expansion.
-
-        Each entry is ``(next node, pip ref, gated)`` where ``gated``
-        pre-answers "is this a pin wire a search may only enter as its
-        own sink?" so the search never repeats the per-visit kind lookup.
-        """
-        entries = tuple(
-            (nxt, pip_ref, WIRE_KIND[nxt % NUM_WIRES] in _GATED_KINDS)
-            for nxt, pip_ref in self._neighbors(node)
-        )
-        self._adj[node] = entries
-        return entries
+        return self.device.fanout(node)
 
     # -- PathFinder ------------------------------------------------------------------------
 
@@ -348,21 +307,18 @@ class Router:
         )
 
     def _pathfinder(self, tasks: list[_NetTask]) -> None:
-        """PathFinder over flat array congestion state.
+        """PathFinder over flat array congestion state (module docstring).
 
-        ``present``/``history`` are dense vectors over the node id space;
-        ``cost`` is a python-list mirror of every node's *full* cost,
-        patched in place wherever occupancy changes (and re-derived for
-        all touched nodes when ``pres_fac`` steps at an iteration
-        boundary), so the A* inner loop is a single list index per
-        neighbor.  The overuse sweep and history bump are one vectorized
-        pass each instead of a walk over the congestion dict.
-        """
+        An iteration boundary visits only the sorted ids of nodes some tree
+        occupies.  An idle node's cost does not involve ``pres_fac``, and
+        its history last changed while it was occupied, so its cached cost
+        is never stale."""
         num_nodes = self.device.num_nodes
         present = np.zeros(num_nodes, np.int64)
         history = np.zeros(num_nodes, np.float64)
-        cost = np.tile(np.asarray(self._base_w), num_nodes // NUM_WIRES).tolist()
+        cost = _BASE_W * (num_nodes // NUM_WIRES)
         pres_fac = self.pres_fac_first
+        over = np.empty(0, np.int64)
 
         order = list(range(len(tasks)))
         for iteration in range(1, self.max_iterations + 1):
@@ -377,21 +333,20 @@ class Router:
                     continue
                 self._rip_up(task, cost, present, pres_fac, history)
                 self._route_net(task, cost, present, pres_fac, history)
-            over = np.flatnonzero(present > 1)
+            occupied = np.unique(np.concatenate([t.tree_arr for t in tasks]))
+            over = occupied[present[occupied] > 1]
             if over.size == 0:
                 break
             history[over] += self.hist_fac * (present[over] - 1)
             pres_fac *= self.pres_fac_mult
-            # pres_fac changed: every occupied or blamed node's cached
-            # cost is stale; re-derive them (sparse — only touched nodes)
-            touched = np.flatnonzero((present > 0) | (history > 0.0))
-            base_w = self._base_w
+            # pres_fac changed: every occupied node's cached cost is stale
+            base_w = _BASE_W
             for i, occ, hist in zip(
-                touched.tolist(), present[touched].tolist(), history[touched].tolist()
+                occupied.tolist(), present[occupied].tolist(), history[occupied].tolist()
             ):
                 cost[i] = base_w[i % NUM_WIRES] * (1.0 + pres_fac * occ) * (1.0 + hist)
 
-        over = np.flatnonzero(present > 1).tolist()
+        over = over.tolist()
         self.stats.overused_final = len(over)
         if over:
             raise self._unroutable(over)
@@ -409,7 +364,7 @@ class Router:
     ) -> None:
         if task.tree_nodes:
             self.stats.rip_ups += 1
-            base_w = self._base_w
+            base_w = _BASE_W
             for n in task.tree_nodes:
                 occ = int(present[n]) - 1
                 present[n] = occ
@@ -433,12 +388,12 @@ class Router:
     ) -> None:
         """Route one net as a tree of A* searches, one per sink, seeded
         from the tree built so far.  The per-neighbor cost is one ``cost``
-        list read and the expansion walks the memoized adjacency tuples;
+        list read and the expansion walks the device's memoized successors;
         every node the tree claims has its occupancy and cost patched."""
-        adj = self._adj
-        adjacency = self._adjacency
+        adj = self.device.successor_memo
+        successors = self.device.successors
         locked = self._locked_nodes
-        base_w = self._base_w
+        base_w = _BASE_W
         heappush, heappop = heapq.heappush, heapq.heappop
         inf = float("inf")
         tree: list[int] = [task.source]
@@ -474,7 +429,7 @@ class Router:
                     break
                 nbrs = adj.get(node)
                 if nbrs is None:
-                    nbrs = adjacency(node)
+                    nbrs = successors(node)
                 for nxt, pip_ref, gated in nbrs:
                     if nxt in locked:
                         continue  # wire owned by a guide-adopted route

@@ -9,8 +9,11 @@ One request or response per line, UTF-8 JSON.  Ops:
 ``{"op": "submit", "id": 3, "name": ..., "xdl": ..., "ucf": ...,
 "region": ..., "granularity": ...}``
     → ``{"id": 3, "ok": true, "name": ..., "part": ..., "size": N,
-    "frames": N, "source": "generated"|"disk", "full_size": N,
-    "data": <base64 config bytes>}``
+    "frames": N, "source": "generated"|"disk"|"peer", "coalesced": bool,
+    "full_size": N, "deployed": bool, "seconds": S,
+    "data": <base64 config bytes>}``; ``source`` is where the bytes came
+    from and ``coalesced`` is true when this request awaited an identical
+    in-flight one instead of being served itself
     or ``{"id": 3, "ok": false, "code": "queue-full"|"bad-request"|
     "generation-failed", "error": "..."}``
 ``{"op": "shutdown", "id": 4}``
@@ -314,6 +317,7 @@ class JpgServer:
             "size": result.size,
             "frames": result.frames,
             "source": result.source,
+            "coalesced": result.coalesced,
             "full_size": self.service.full_size,
             "deployed": result.deployed,
             "seconds": result.seconds,

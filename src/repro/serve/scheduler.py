@@ -14,7 +14,8 @@ a worker thread pool, and three policies shape the traffic:
   to ``workers``.
 * **Request coalescing** — while a request is in flight, an identical
   request (same cache key: base fingerprint + region + module digest)
-  does not enqueue a second generation; it awaits the same future.  This
+  does not enqueue a second generation; it awaits the same future and
+  gets the leader's result marked ``coalesced``.  This
   extends :class:`~repro.batch.cache.FrameCache` single-flight semantics
   from "one clear per region" to "one generation per identical request"
   across clients.
@@ -31,6 +32,7 @@ gauge, ``serve.wait`` / ``serve.generate`` timers, ``serve.accepted`` /
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -107,7 +109,7 @@ class Scheduler:
             self.metrics.count("serve.coalesced")
             # shield: one impatient client cancelling must not cancel the
             # generation other clients are waiting on
-            return await asyncio.shield(existing)
+            return dataclasses.replace(await asyncio.shield(existing), coalesced=True)
         if self._pending >= self.max_queue:
             self.metrics.count("serve.rejected")
             raise QueueFullError(

@@ -126,6 +126,9 @@ class ServeResult:
     frames: int = 0
     error: str | None = None
     deployed: bool = False
+    #: True for a request that awaited an identical in-flight request's
+    #: result; ``source`` is then the provenance of the leader's bytes
+    coalesced: bool = False
 
     @property
     def ok(self) -> bool:

@@ -87,6 +87,9 @@ class ReplayStats:
     errors: int = 0
     seconds: float = 0.0
     sources: dict = field(default_factory=dict)
+    #: source -> replies coalesced onto an identical in-flight request
+    #: (also counted in ``sources``: their bytes have that provenance)
+    coalesced: dict = field(default_factory=dict)
     histogram: ReservoirHistogram = field(
         default_factory=lambda: ReservoirHistogram(capacity=4096)
     )
@@ -129,6 +132,7 @@ def replay(
     def worker(offset: int) -> None:
         local_hist = ReservoirHistogram(capacity=4096, seed=offset + 1)
         local_sources: dict[str, int] = {}
+        local_coalesced: dict[str, int] = {}
         local_ok = 0
         local_err = 0
         client = FleetClient(Membership(nodes), timeout=timeout)
@@ -145,6 +149,8 @@ def replay(
                     local_ok += 1
                     source = str(resp.get("source", "?"))
                     local_sources[source] = local_sources.get(source, 0) + 1
+                    if resp.get("coalesced"):
+                        local_coalesced[source] = local_coalesced.get(source, 0) + 1
                     sha = hashlib.sha256(decode_partial(resp)).hexdigest()
                     with lock:
                         if stats.key_sha.setdefault(int(idx), sha) != sha:
@@ -168,6 +174,8 @@ def replay(
             stats.errors += local_err
             for source, n in local_sources.items():
                 stats.sources[source] = stats.sources.get(source, 0) + n
+            for source, n in local_coalesced.items():
+                stats.coalesced[source] = stats.coalesced.get(source, 0) + n
             stats.histogram.absorb(
                 local_hist.count, local_hist.samples(),
                 total=local_hist.total, min_value=local_hist.min,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import HashRing, LocalFleet
+from repro.serve import ServeClient
 from tests.cluster.replay import replay, salted_keys, verify_keys, zipf_sequence
 
 pytestmark = [pytest.mark.cluster, pytest.mark.serve]
@@ -39,6 +40,16 @@ class TestZipf:
         assert all(700 < n < 1300 for n in counts.values())
 
 
+def fleet_generated(fleet) -> int:
+    """The fleet's summed ``serve.generated`` counter."""
+    total = 0
+    for address in fleet.addresses.values():
+        with ServeClient(address) as client:
+            counters = client.stats()["stats"]["counters"]
+        total += counters.get("serve.generated", 0)
+    return total
+
+
 @pytest.fixture(scope="module")
 def live_fleet(demo_project, tmp_path_factory):
     """A running 3-node loopback fleet over the demo base."""
@@ -58,12 +69,17 @@ class TestFleetEndToEnd:
         the bytes direct generation gives."""
         keys = salted_keys(demo_project, 32)
         seq = zipf_sequence(len(keys), 1000, skew=1.1, seed=1)
+        generated_before = fleet_generated(live_fleet)
         cold = replay(live_fleet.addresses, keys, seq,
                       target="cold", concurrency=4)
         assert cold.requests == 1000
         assert cold.errors == 0, cold.error_samples
         assert cold.mismatches == 0
         assert cold.sources.get("generated", 0) >= 1
+        # a reply that awaited an identical in-flight request is marked:
+        # only the unmarked generated replies are the nodes' generations
+        served = cold.sources["generated"] - cold.coalesced.get("generated", 0)
+        assert served == fleet_generated(live_fleet) - generated_before
         warm = replay(live_fleet.addresses, keys, seq,
                       target="warm", concurrency=4)
         assert warm.requests == 1000

@@ -138,3 +138,25 @@ class TestPipValidity:
         ]
         for p in lh_taps:
             assert dev.pip_valid(0, 0, p)
+
+
+class TestRoutingGraph:
+    def test_successors_memoize_the_fanout(self, dev):
+        node = dev.node_id(4, 5, W.wire_index("S0_X"))
+        dev.successor_memo.pop(node, None)
+        entries = dev.successors(node)
+        assert [(n, p) for n, p, _ in entries] == list(dev.fanout(node))
+        assert dev.successors(node) is entries
+        gated = {n for n, _, g in entries if g}
+        assert gated == {n for n, _, _ in entries
+                         if W.WIRE_KIND[n % W.NUM_WIRES] in
+                         (W.WireKind.PIN_IN, W.WireKind.IO_OUT)}
+
+    def test_long_line_spans_the_row(self, dev):
+        long_h = next(i for i, k in enumerate(W.WIRE_KIND) if k is W.WireKind.LONG_H)
+        cols = {p[1] for _, p, _ in dev.successors(dev.node_id(2, 0, long_h))}
+        assert cols == set(range(dev.cols))
+
+    def test_clock_lines_have_no_general_successors(self, dev):
+        gclk = next(i for i, k in enumerate(W.WIRE_KIND) if k is W.WireKind.GCLK)
+        assert dev.successors(dev.node_id(0, 0, gclk)) == ()

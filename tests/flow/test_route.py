@@ -11,6 +11,7 @@ from repro.flow.route import route
 from repro.flow.techmap import techmap
 from repro.netlist import NetlistBuilder
 from tests.conftest import build_counter_netlist
+from tests.flow.test_vectorized import packed_design, routing_of
 
 
 def routed_design(width=4, seed=1):
@@ -163,3 +164,61 @@ class TestStress:
         assert stats.routed == stats.nets
         assert stats.total_pips > 0
         assert stats.searches > 0
+
+
+def placed_design(width, seed):
+    design = packed_design(width)
+    place(design, seed=seed)
+    return design
+
+
+class TestSharedRoutingGraph:
+    """The successor memo lives on the shared Device: every flow reads
+    it, so a warm, a cleared and an overflowing memo must route alike."""
+
+    def test_warm_memo_routes_like_cleared(self):
+        memo = get_device("XCV50").successor_memo
+        route(placed_design(6, 7), seed=7)  # an unrelated flow warms the memo
+        warm_design = placed_design(8, 1)
+        warm = route(warm_design, seed=1)
+        memo.clear()
+        cold_design = placed_design(8, 1)
+        cold = route(cold_design, seed=1)
+        assert memo  # the cold run refilled it
+        assert routing_of(warm_design) == routing_of(cold_design)
+        assert warm.nodes_popped == cold.nodes_popped
+        assert warm.iterations == cold.iterations
+
+    def test_memo_overflow_stays_bounded(self, monkeypatch):
+        from repro.devices import device as device_mod
+
+        memo = get_device("XCV50").successor_memo
+        memo.clear()
+        reference = placed_design(8, 1)
+        route(reference, seed=1)
+        assert len(memo) > 64
+        monkeypatch.setattr(device_mod, "SUCCESSOR_MEMO_MAX", 64)
+        memo.clear()
+        overflowed = placed_design(8, 1)
+        route(overflowed, seed=1)
+        assert 0 < len(memo) <= 64
+        later = placed_design(8, 1)
+        route(later, seed=1)
+        assert len(memo) <= 64
+        assert routing_of(overflowed) == routing_of(reference)
+        assert routing_of(later) == routing_of(reference)
+
+    def test_unroutable_lists_overused_nodes_in_id_order(self):
+        """Out of iterations: the touched-node sweep reports the same
+        overuse a sweep over every node would, in ascending id order."""
+        dev = get_device("XCV50")
+        design = placed_design(8, 1)
+        with pytest.raises(RoutingError, match="unroutable after 1 iterations") as err:
+            route(design, seed=1, max_iterations=1)
+        names = str(err.value).split("(", 1)[1].rstrip(".)").split(", ")
+        ids = []
+        for name in names:
+            tile, wire = name.split(".")
+            r, c = tile[1:].split("C")
+            ids.append(dev.node_id(int(r) - 1, int(c) - 1, W.wire_index(wire)))
+        assert ids == sorted(ids) and len(set(ids)) == len(ids)

@@ -67,6 +67,10 @@ class TestCoalescing:
         assert all(r.data == b"data:same" for r in results)
         assert service.metrics.counter("serve.accepted") == 1
         assert service.metrics.counter("serve.coalesced") == 4
+        # the leader was served; the 4 waiters got its bytes, marked, with
+        # the bytes' provenance kept
+        assert [r.coalesced for r in results] == [False] + [True] * 4
+        assert all(r.source == "generated" for r in results)
 
     def test_distinct_requests_not_coalesced(self):
         service = FakeService()
